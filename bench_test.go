@@ -624,11 +624,10 @@ func BenchmarkHeapSimulator(b *testing.B) {
 
 // BenchmarkConnectivityMetricPoint measures the cost of one Components
 // metric point — a burst of heap churn followed by the component-count
-// query — under the snapshot walk and the incremental union-find
-// tracker. The snapshot path pays O(V+E) per point, so its cost grows
-// with heap size; the incremental path is costed by the churn between
-// points, so the per-point cost stays flat and the ratio is the PR's
-// headline speedup.
+// query — with the incremental union-find tracker, and in verify mode,
+// which adds the O(V+E) oracle walk per point. The walk's cost grows
+// with heap size; the tracker is costed by the churn between points,
+// so its per-point cost stays flat.
 func BenchmarkConnectivityMetricPoint(b *testing.B) {
 	build := func(n int, mode heapgraph.ConnectivityMode) *heapgraph.Graph {
 		g := heapgraph.New()
@@ -637,8 +636,8 @@ func BenchmarkConnectivityMetricPoint(b *testing.B) {
 			g.AddVertex(heapgraph.VertexID(i))
 		}
 		// Mostly list/tree-shaped linkage with some cross edges: the
-		// paper's heap shapes, and a mix of exact and conservative
-		// delete classes under churn.
+		// paper's heap shapes, and a mix of no-op, leaf and split
+		// deletes under churn.
 		for i := 1; i < n; i++ {
 			g.AddEdge(heapgraph.VertexID(i/2), heapgraph.VertexID(i))
 		}
@@ -649,7 +648,7 @@ func BenchmarkConnectivityMetricPoint(b *testing.B) {
 	}
 	for _, n := range []int{10000, 50000, 200000} {
 		for _, mode := range []heapgraph.ConnectivityMode{
-			heapgraph.ConnectivitySnapshot,
+			heapgraph.ConnectivityVerify,
 			heapgraph.ConnectivityIncremental,
 		} {
 			b.Run(fmt.Sprintf("V=%d/%s", n, mode), func(b *testing.B) {
@@ -680,11 +679,11 @@ func BenchmarkConnectivityMetricPoint(b *testing.B) {
 
 // BenchmarkSCCMetricPoint is the strong-connectivity sibling of
 // BenchmarkConnectivityMetricPoint: one SCCs metric point — a burst of
-// heap churn followed by the strong component count query — under the
-// snapshot Tarjan walk and the incremental SCC tracker. The churn is
-// pendant-run allocation and teardown, which the tracker's exact
-// singleton delete class absorbs without a rebuild, so the incremental
-// per-point cost stays flat while the snapshot walk pays O(V+E).
+// heap churn followed by the strong component count query — with the
+// incremental SCC tracker, and in verify mode, which adds the Tarjan
+// walk. The churn is pendant-run allocation and teardown, which the
+// tracker's singleton delete class absorbs without a repair, so the
+// incremental per-point cost stays flat while the walk pays O(V+E).
 func BenchmarkSCCMetricPoint(b *testing.B) {
 	build := func(n int, mode heapgraph.ConnectivityMode) *heapgraph.Graph {
 		g := heapgraph.New()
@@ -705,7 +704,7 @@ func BenchmarkSCCMetricPoint(b *testing.B) {
 	}
 	for _, n := range []int{10000, 50000, 200000} {
 		for _, mode := range []heapgraph.ConnectivityMode{
-			heapgraph.ConnectivitySnapshot,
+			heapgraph.ConnectivityVerify,
 			heapgraph.ConnectivityIncremental,
 		} {
 			b.Run(fmt.Sprintf("V=%d/%s", n, mode), func(b *testing.B) {

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,7 +67,12 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	var uerr usageError
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &uerr):
+		os.Exit(2)
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "heapmd:", err)
 		os.Exit(1)
 	}
@@ -104,7 +110,7 @@ func cmdFaults() error {
 }
 
 func cmdSoak(args []string) error {
-	fs := flag.NewFlagSet("soak", flag.ExitOnError)
+	fs := newFlagSet("soak")
 	duration := fs.Duration("duration", 30*time.Second, "wall-clock soak budget beyond the minimum schedule (0 = minimum only)")
 	seed := fs.Int64("seed", 1, "soak seed (perturbs held-out inputs; equal seeds reproduce the scoreboard)")
 	faultList := fs.String("faults", "", "comma-separated fault names to soak (default: the whole catalog)")
@@ -112,24 +118,19 @@ func cmdSoak(args []string) error {
 	ingestWorkersFlag := fs.Int("ingest-workers", 0, "ingest workers per iteration: 0 = auto (serial on a single core), 1 = serial, n >= 2 = mutator + n-1 speculative pre-resolvers (identical scoreboard at any setting)")
 	parallel := fs.Int("parallel", 0, "cells soaked concurrently (0 = all cores, 1 = serial)")
 	train := fs.Int("train", 0, "training inputs per workload model (0 = soak default)")
-	connectivity := fs.String("connectivity", "snapshot", "WCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
-	sccPath := fs.String("scc", "snapshot", "SCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
+	connFlags := addConnectivityFlags(fs)
 	extended := fs.Bool("extended", false, "soak with the extended metric suite (adds WCC/SCC structure metrics)")
 	check := fs.Bool("check", false, "exit nonzero unless every verdict matches the taxonomy with zero warmup false positives")
 	out := fs.String("o", "", "write the JSON scoreboard to FILE (default: stdout)")
 	quiet := fs.Bool("q", false, "suppress per-cell progress lines on stderr")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	conn, sccMode, err := connFlags.modes()
+	if err != nil {
 		return err
 	}
 	workers, err := sched.ParseParallel(*parallel)
-	if err != nil {
-		return err
-	}
-	conn, err := heapgraph.ParseConnectivity(*connectivity)
-	if err != nil {
-		return err
-	}
-	sccMode, err := heapgraph.ParseSCC(*sccPath)
 	if err != nil {
 		return err
 	}
@@ -185,7 +186,7 @@ func cmdSoak(args []string) error {
 }
 
 func cmdTrain(args []string) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
+	fs := newFlagSet("train")
 	name := fs.String("workload", "", "workload to train on (see 'heapmd list')")
 	inputs := fs.Int("inputs", 25, "number of training inputs")
 	out := fs.String("o", "", "output model file (default: stdout)")
@@ -196,10 +197,13 @@ func cmdTrain(args []string) error {
 	compress := fs.Bool("compress", false, "flate-compress recorded v3 trace frames (smaller files, same replay)")
 	traceWorkers := fs.Int("trace-workers", 0, "encode recorded v3 frames on this many workers per run (0 = synchronous; bytes are identical)")
 	ingestWorkersFlag := fs.Int("ingest-workers", 0, "ingest workers per run: 0 = auto (serial on a single core), 1 = serial, n >= 2 = mutator + n-1 speculative pre-resolvers (identical model at any setting)")
-	connectivity := fs.String("connectivity", "snapshot", "WCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
-	sccPath := fs.String("scc", "snapshot", "SCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
+	connFlags := addConnectivityFlags(fs)
 	extended := fs.Bool("extended", false, "train on the extended metric suite (adds WCC/SCC structure metrics)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	logOpts, err := connectivityOptions(connFlags, *extended)
+	if err != nil {
 		return err
 	}
 	w, err := workloads.Get(*name)
@@ -211,10 +215,6 @@ func cmdTrain(args []string) error {
 		return err
 	}
 	ingestWorkers, err := sched.ParseIngestWorkers(*ingestWorkersFlag)
-	if err != nil {
-		return err
-	}
-	logOpts, err := connectivityOptions(*connectivity, *sccPath, *extended)
 	if err != nil {
 		return err
 	}
@@ -299,22 +299,61 @@ func traceRecorder(dir string, format uint32, compress bool, workers int) (func(
 	}, nil
 }
 
-// connectivityOptions resolves the -connectivity/-scc/-extended flag
-// triple shared by train and check into logger options.
-func connectivityOptions(connectivity, scc string, extended bool) (logger.Options, error) {
-	mode, err := heapgraph.ParseConnectivity(connectivity)
+// connectivityFlags are the -connectivity and -scc flags shared by
+// train, check, replay and soak.
+type connectivityFlags struct{ conn, scc *string }
+
+// addConnectivityFlags declares -connectivity and -scc on fs, both
+// defaulting to the incremental trackers.
+func addConnectivityFlags(fs *flag.FlagSet) connectivityFlags {
+	return connectivityFlags{
+		conn: fs.String("connectivity", "incremental", "WCC metric path: incremental|verify (verify also walks the graph at every metric point and panics on divergence)"),
+		scc:  fs.String("scc", "incremental", "SCC metric path: incremental|verify (verify also runs Tarjan at every metric point and panics on divergence)"),
+	}
+}
+
+// modes resolves the parsed flag values.
+func (f connectivityFlags) modes() (conn, scc heapgraph.ConnectivityMode, err error) {
+	if conn, err = heapgraph.ParseConnectivity(*f.conn); err != nil {
+		return 0, 0, err
+	}
+	scc, err = heapgraph.ParseSCC(*f.scc)
+	return conn, scc, err
+}
+
+// connectivityOptions resolves the connectivity flags and -extended,
+// shared by train and check, into logger options.
+func connectivityOptions(f connectivityFlags, extended bool) (logger.Options, error) {
+	conn, scc, err := f.modes()
 	if err != nil {
 		return logger.Options{}, err
 	}
-	sccMode, err := heapgraph.ParseSCC(scc)
-	if err != nil {
-		return logger.Options{}, err
-	}
-	opts := logger.Options{Connectivity: mode, SCC: sccMode}
+	opts := logger.Options{Connectivity: conn, SCC: scc}
 	if extended {
 		opts.Suite = metrics.ExtendedSuite()
 	}
 	return opts, nil
+}
+
+// usageError is a command-line parse failure; the flag package has
+// already reported it together with the usage text.
+type usageError struct{ err error }
+
+func (e usageError) Error() string { return e.err.Error() }
+func (e usageError) Unwrap() error { return e.err }
+
+// newFlagSet returns a subcommand flag set that reports parse errors
+// to its caller instead of exiting.
+func newFlagSet(name string) *flag.FlagSet {
+	return flag.NewFlagSet(name, flag.ContinueOnError)
+}
+
+// parseFlags parses args into fs, wrapping a failure as a usageError.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	return nil
 }
 
 // parseFault parses "name[:prob[:maxTriggers]]".
@@ -344,7 +383,7 @@ func parseFault(spec string) (string, faults.Config, error) {
 }
 
 func cmdCheck(args []string) error {
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
+	fs := newFlagSet("check")
 	name := fs.String("workload", "", "workload to check")
 	modelPath := fs.String("model", "", "model file from 'heapmd train'")
 	faultSpec := fs.String("fault", "", "fault to inject: name[:prob[:max]] (see 'heapmd faults')")
@@ -357,10 +396,13 @@ func cmdCheck(args []string) error {
 	compress := fs.Bool("compress", false, "flate-compress recorded v3 trace frames (smaller files, same replay)")
 	traceWorkers := fs.Int("trace-workers", 0, "encode recorded v3 frames on this many workers per run (0 = synchronous; bytes are identical)")
 	ingestWorkersFlag := fs.Int("ingest-workers", 0, "ingest workers per run: 0 = auto (serial on a single core), 1 = serial, n >= 2 = mutator + n-1 speculative pre-resolvers (identical findings at any setting)")
-	connectivity := fs.String("connectivity", "snapshot", "WCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
-	sccPath := fs.String("scc", "snapshot", "SCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
+	connFlags := addConnectivityFlags(fs)
 	extended := fs.Bool("extended", false, "check with the extended metric suite (adds WCC/SCC structure metrics)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	logOpts, err := connectivityOptions(connFlags, *extended)
+	if err != nil {
 		return err
 	}
 	w, err := workloads.Get(*name)
@@ -372,10 +414,6 @@ func cmdCheck(args []string) error {
 		return err
 	}
 	ingestWorkers, err := sched.ParseIngestWorkers(*ingestWorkersFlag)
-	if err != nil {
-		return err
-	}
-	logOpts, err := connectivityOptions(*connectivity, *sccPath, *extended)
 	if err != nil {
 		return err
 	}
@@ -460,14 +498,14 @@ func cmdCheck(args []string) error {
 }
 
 func cmdPlot(args []string) error {
-	fs := flag.NewFlagSet("plot", flag.ExitOnError)
+	fs := newFlagSet("plot")
 	name := fs.String("workload", "", "workload to run")
 	metricName := fs.String("metric", "Indeg=1", "metric to plot")
 	modelPath := fs.String("model", "", "optional model file: draws calibrated bounds")
 	faultSpec := fs.String("fault", "", "fault to inject: name[:prob[:max]]")
 	inputIdx := fs.Int("input", 0, "input index to run")
 	version := fs.Int("version", 1, "development version")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	w, err := workloads.Get(*name)

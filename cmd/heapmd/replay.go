@@ -39,7 +39,7 @@ type replayConfig struct {
 }
 
 func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+	fs := newFlagSet("replay")
 	tracePath := fs.String("trace", "", "trace file recorded with heapmd.RecordTrace, or a directory of traces")
 	modelPath := fs.String("model", "", "optional model file: check each replayed report against it")
 	salvage := fs.Bool("salvage", false, "recover the longest valid prefix of a damaged trace")
@@ -47,10 +47,8 @@ func cmdReplay(args []string) error {
 	decodeWorkersFlag := fs.Int("decode-workers", 0, "frame decode workers per trace: 0 = auto (all cores; synchronous on a single core), 1 = read-ahead, n = scanner + n-worker pipeline (identical report at any setting)")
 	ingestWorkersFlag := fs.Int("ingest-workers", 0, "ingest workers per trace: 0 = auto (serial on a single core), 1 = serial, n >= 2 = in-order mutator + n-1 speculative pre-resolvers (identical report at any setting)")
 	readAhead := fs.Bool("readahead", heapmd.DefaultReadAhead(), "deprecated alias for -decode-workers=1 (or 0 when false); ignored when -decode-workers is set")
-	workers := fs.Int("metric-workers", 0, "compute expensive extension metrics on this many workers (0 = inline)")
 	extended := fs.Bool("extended", false, "compute the extended metric suite (adds WCC/SCC structure metrics)")
-	connectivity := fs.String("connectivity", "snapshot", "WCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
-	sccPath := fs.String("scc", "snapshot", "SCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
+	connFlags := addConnectivityFlags(fs)
 	freq := fs.Uint64("freq", 0, "sampling frequency; must match the recording (0 = simulation default)")
 	retries := fs.Int("retries", 3, "max retries per read/seek on transient I/O errors")
 	parallel := fs.Int("parallel", 0, "traces replayed in flight (0 = all cores, 1 = serial; output is identical)")
@@ -58,7 +56,11 @@ func cmdReplay(args []string) error {
 	input := fs.String("input", "trace", "input name recorded in the report (single trace; multi-trace uses file names)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the replay to this file")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	conn, sccMode, err := connFlags.modes()
+	if err != nil {
 		return err
 	}
 	paths, err := collectTracePaths(*tracePath, fs.Args())
@@ -94,10 +96,6 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	metricWorkers, err := sched.ParseMetricWorkers(*workers)
-	if err != nil {
-		return err
-	}
 	decodeWorkers, err := sched.ParseDecodeWorkers(*decodeWorkersFlag)
 	if err != nil {
 		return err
@@ -125,14 +123,6 @@ func cmdReplay(args []string) error {
 			decodeWorkers = -1 // explicit -readahead=false: force synchronous
 		}
 	}
-	conn, err := heapmd.ParseConnectivity(*connectivity)
-	if err != nil {
-		return err
-	}
-	sccMode, err := heapmd.ParseSCC(*sccPath)
-	if err != nil {
-		return err
-	}
 	var suite metrics.Suite
 	if *extended {
 		suite = metrics.ExtendedSuite()
@@ -144,7 +134,6 @@ func cmdReplay(args []string) error {
 			Pipelined:     *pipelined,
 			DecodeWorkers: decodeWorkers,
 			IngestWorkers: ingestWorkers,
-			MetricWorkers: metricWorkers,
 			Suite:         suite,
 			Connectivity:  conn,
 			SCC:           sccMode,

@@ -125,27 +125,26 @@ type (
 
 	// ConnectivityMode selects how a component extension metric
 	// (Components via Options.Connectivity, SCCs via Options.SCC)
-	// obtains its count: snapshot walks, an incremental tracker, or
-	// both with a divergence check.
+	// obtains its count: an incremental tracker, optionally checked
+	// against a graph walk.
 	ConnectivityMode = heapgraph.ConnectivityMode
 )
 
 // Connectivity modes for Options.Connectivity and
 // ReplayOptions.Connectivity.
 const (
-	// ConnectivitySnapshot recomputes components with a
-	// generation-memoized full graph walk (default).
-	ConnectivitySnapshot = heapgraph.ConnectivitySnapshot
 	// ConnectivityIncremental maintains the component count under
-	// mutation, costing metric points by churn instead of heap size.
+	// mutation, costing metric points by churn instead of heap size
+	// (the zero value).
 	ConnectivityIncremental = heapgraph.ConnectivityIncremental
-	// ConnectivityVerify runs both paths and panics on divergence; a
-	// differential-oracle mode for tests and CI.
+	// ConnectivityVerify also walks the graph at every metric point
+	// and panics on divergence; a differential-oracle mode for tests
+	// and CI.
 	ConnectivityVerify = heapgraph.ConnectivityVerify
 )
 
 // ParseConnectivity resolves a -connectivity flag value
-// ("snapshot", "incremental" or "verify").
+// ("incremental" or "verify").
 func ParseConnectivity(s string) (ConnectivityMode, error) {
 	return heapgraph.ParseConnectivity(s)
 }
@@ -209,22 +208,17 @@ type Options struct {
 	// FieldGranularity builds the heap-graph with one vertex per
 	// word instead of per object (paper Figure 3 ablation).
 	FieldGranularity bool
-	// MetricWorkers > 0 computes the expensive extension metrics
-	// (WCC/SCC) on that many worker goroutines off the ingestion
-	// path; see logger.Options.MetricWorkers. Only meaningful with a
-	// suite that includes those metrics.
-	MetricWorkers int
 	// Connectivity selects how the Components metric obtains the
 	// weak component count; see logger.Options.Connectivity. The zero
-	// value is the snapshot walk.
+	// value is the incremental tracker.
 	Connectivity ConnectivityMode
 	// SCC selects the same for the SCCs metric's strong component
-	// count; see logger.Options.SCC. The zero value is the snapshot
-	// walk.
+	// count; see logger.Options.SCC. The zero value is the
+	// incremental tracker.
 	SCC ConnectivityMode
 	// RebuildThreshold is the incremental trackers' dirty budget
 	// between amortized rebuilds (shared by the WCC and SCC
-	// trackers); zero selects the default. Ignored in snapshot modes.
+	// trackers); zero selects the default.
 	RebuildThreshold int
 	// IngestWorkers >= 2 puts the pipeline-parallel ingestion stage
 	// (one strictly in-order mutator plus IngestWorkers-1 speculative
@@ -276,7 +270,6 @@ func (s *Session) newRun(program, input string, seed int64, plan *FaultPlan) *Ru
 	l := logger.New(logger.Options{
 		Frequency:        freq,
 		Granularity:      gran,
-		MetricWorkers:    s.opts.MetricWorkers,
 		Connectivity:     s.opts.Connectivity,
 		SCC:              s.opts.SCC,
 		RebuildThreshold: s.opts.RebuildThreshold,
@@ -502,9 +495,6 @@ type ReplayOptions struct {
 	// checking and framing overlap graph mutation. The reconstructed
 	// report is identical to a non-pipelined replay.
 	Pipelined bool
-	// MetricWorkers > 0 computes expensive extension metrics on
-	// worker goroutines during replay; see Options.MetricWorkers.
-	MetricWorkers int
 	// Suite selects the metric suite for the replay; zero value
 	// means the default seven-metric suite.
 	Suite metrics.Suite
@@ -569,7 +559,6 @@ func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions
 	l := logger.New(logger.Options{
 		Frequency:        freq,
 		Suite:            opts.Suite,
-		MetricWorkers:    opts.MetricWorkers,
 		Connectivity:     opts.Connectivity,
 		SCC:              opts.SCC,
 		RebuildThreshold: opts.RebuildThreshold,

@@ -360,22 +360,26 @@ func (t *OctTree) CountNodes() int {
 	return len(seen)
 }
 
-// FreeAll releases every distinct node.
+// FreeAll releases every distinct node, in DFS collection order so
+// the emitted event stream is a function of the tree alone (map
+// iteration order would make it differ run to run).
 func (t *OctTree) FreeAll() {
 	defer t.p.Enter(t.name + ".free")()
 	seen := make(map[uint64]bool)
+	var order []uint64
 	var collect func(n uint64)
 	collect = func(n uint64) {
 		if n == 0 || seen[n] {
 			return
 		}
 		seen[n] = true
+		order = append(order, n)
 		for c := 0; c < 8; c++ {
 			collect(t.p.LoadField(n, c))
 		}
 	}
 	collect(t.root)
-	for n := range seen {
+	for _, n := range order {
 		t.p.Free(n)
 	}
 	t.root = 0

@@ -33,8 +33,7 @@
 // or walk adjacency. The aggregate counts (CountInDegree,
 // CountOutDegree, CountInEqOut, NumVertices, NumEdges, Generation) are
 // maintained in lock-striped atomic shards (see sharded.go) and may be
-// read from any goroutine while mutation proceeds. Whole-graph
-// analyses from other goroutines must work on a Freeze() snapshot.
+// read from any goroutine while mutation proceeds.
 package heapgraph
 
 import (
@@ -92,15 +91,16 @@ type Graph struct {
 	counts shardedCounts
 	nVerts atomic.Int64
 	edges  atomic.Int64 // total edge multiplicity
-	// gen counts successful mutations. Metric evaluation uses it to
-	// reuse cached whole-graph analyses and to tag Freeze snapshots.
+	// gen counts successful mutations. The verify-mode walks use it to
+	// reuse cached whole-graph analyses.
 	gen atomic.Uint64
 
 	wccCache componentCache
 	sccCache componentCache
 
 	// Incremental weak-connectivity tracking (incremental.go). wcc is
-	// nil in snapshot mode; both fields are writer-goroutine state.
+	// nil until the first SetConnectivity or query; both fields are
+	// writer-goroutine state.
 	connMode ConnectivityMode
 	wcc      *wccTracker
 
@@ -276,10 +276,10 @@ func (g *Graph) RemoveVertex(v VertexID) {
 	if s == noSlot {
 		return
 	}
-	// Classify the removal for the connectivity trackers before the
-	// neighbour sets are torn down (they need the original adjacency).
+	// The connectivity trackers collect the vertex's neighbours before
+	// the neighbour sets are torn down, and repair after.
 	g.wccRemoveVertex(v, s)
-	g.sccRemoveVertex(s)
+	g.sccRemoveVertex(v, s)
 	// Detach outgoing edges: each successor loses incoming
 	// multiplicity. The callbacks mutate only the neighbours' sets,
 	// never slot s's own, which each() permits.
@@ -323,6 +323,8 @@ func (g *Graph) RemoveVertex(v VertexID) {
 	g.freeSlots = append(g.freeSlots, s)
 	g.nVerts.Add(-1)
 	g.gen.Add(1)
+	g.wccRemoveVertexDone()
+	g.sccRemoveVertexDone()
 	g.wccSettle()
 	g.sccSettle()
 }

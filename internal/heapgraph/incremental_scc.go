@@ -27,34 +27,44 @@ package heapgraph
 // work, and pathological hub fan-outs degrade to the amortized
 // rebuild instead of an unbounded walk on the mutation path.
 //
-// Deletes. Union-find cannot split, so deletes use an exact-shape
-// taxonomy mirroring the WCC tracker's, with different shapes:
+// Deletes. Union-find cannot split, so deletes are repaired locally:
 //
 //   - removing an edge with a parallel edge remaining: no-op;
 //   - removing a CROSS-SCC edge: exact no-op — a cycle through the
 //     edge would have put its endpoints in one SCC already, so no
 //     cycle dies and no SCC can merge by losing an edge;
-//   - removing an INTRA-SCC edge may split the SCC: dirty;
 //   - removing a vertex whose SCC has size 1: exact count decrement —
 //     no cycle passes through a singleton-SCC vertex, so every other
 //     SCC keeps its internal cycles intact (this covers isolated
-//     vertices and, unlike the WCC taxonomy, every chain/tree/DAG
-//     vertex regardless of degree);
-//   - removing a member of a multi-vertex SCC: dirty.
+//     vertices and every chain/tree/DAG vertex regardless of degree);
+//   - removing an INTRA-SCC edge, or a member of a multi-vertex SCC,
+//     can only split that one SCC: every other SCC keeps its cycles.
+//     A reachability check inside the SCC first settles the common
+//     case where it stays whole (sccRemoveEdge and
+//     sccRemoveVertexDone give the conditions). Otherwise the tracker
+//     enumerates the SCC's surviving members with an undirected
+//     search restricted to the SCC — from the edge's tail (an SCC
+//     minus one edge stays weakly connected, since every edge of an
+//     SCC lies on a cycle), or from the removed vertex's in-neighbours
+//     inside the SCC (every member reaches the removed vertex through
+//     one of them) — and re-runs Tarjan over just those members,
+//     giving each resulting SCC its own node.
 //
-// Dirty states amortize exactly like the WCC tracker: the dirty
-// counter forces a rebuild at the configured threshold during
+// The checks and the enumeration charge every adjacency entry they
+// scan against DeleteRepairBudget; an SCC too large for it marks the
+// tracker dirty instead. Dirty states amortize exactly like the WCC tracker: the
+// dirty counter forces a rebuild at the configured threshold during
 // mutation (sccSettle — note AddEdge also settles, because probe
 // bailouts dirty on *insert*), and queries on a dirty tracker rebuild
-// lazily first. The rebuild is an iterative Tarjan walk over the live
-// adjacency using tracker-owned scratch (a CSR copy of the out-edges
-// plus index/lowlink/stack arrays), mirroring FreezeSCC's pre-shrunk
-// reduction — isolated vertices become singleton SCCs directly,
-// without Tarjan frames — but without materializing a snapshot, so
-// steady-state rebuilds reuse capacity and allocate nothing.
+// lazily first. The rebuild is the same Tarjan routine run over every
+// live vertex with at least one edge (isolated vertices become
+// singleton SCCs directly, without Tarjan frames), using tracker-owned
+// scratch — a CSR copy of the members' out-edges plus the
+// index/lowlink/stack arrays — so steady-state repairs and rebuilds
+// reuse capacity and allocate nothing.
 //
 // Like the WCC tracker, only Count is maintained (the suite consumes
-// SCC per 100 vertices); Largest stays a snapshot-path statistic.
+// SCC per 100 vertices); Largest stays a walk statistic.
 
 import "fmt"
 
@@ -63,7 +73,7 @@ import "fmt"
 // the tracker dirty. The budget bounds the mutation-path cost at hub
 // vertices; the overwhelmingly common insert shapes (fresh target,
 // intra-SCC edge, short cycle closure) complete well under it.
-const DefaultSCCProbeBudget = 128
+const DefaultSCCProbeBudget = 256
 
 // sccFrame is one iterative-Tarjan stack frame: a vertex slot and the
 // next unexplored position within its CSR edge range.
@@ -79,18 +89,29 @@ type sccTracker struct {
 
 	budget int // probe budget (adjacency entries per insert probe)
 
-	// Probe scratch (sccAddEdge). visit/reach are stamp arrays indexed
-	// by slot: visit marks membership in the forward set F, reach marks
-	// the backward closure. One stamp increment invalidates both.
+	// Slot-indexed stamp arrays. visit marks the probe's forward set F,
+	// or membership in the SCC being recomputed; reach marks the
+	// probe's backward closure. One stamp increment invalidates both.
 	visit []uint32
 	reach []uint32
+	loc   []int32 // member slot → Tarjan-local index (valid where visit == stamp)
 	stamp uint32
-	queue []int32 // BFS worklist, reused by both passes
-	fset  []int32 // the forward set F, in visit order
+	queue []int32 // worklist, reused by the probe passes and the repair searches
+	fset  []int32 // the probe's forward set F, in visit order
 	seeds []int32 // F members with an edge into SCC(u)
+	// ins/outs are a deleted vertex's in- and out-neighbours inside its
+	// SCC (outs also carries an edge cut's head).
+	ins  []int32
+	outs []int32
 
-	// Rebuild scratch (rebuildSCC): a CSR copy of the live out-edges
-	// and the iterative-Tarjan arrays.
+	// members lists the slots Tarjan runs over (one SCC's survivors in
+	// a repair, every non-isolated live vertex in a rebuild); comp
+	// receives each member's SCC ordinal.
+	members []int32
+	comp    []int32
+
+	// Tarjan scratch: a CSR copy of the members' out-edges in local
+	// indices, and the iterative-Tarjan arrays.
 	offs    []int32
 	targets []int32
 	index   []int32
@@ -102,16 +123,11 @@ type sccTracker struct {
 
 // SetSCC selects how StronglyConnectedComponentCount obtains the SCC
 // count — the strong-connectivity analogue of SetConnectivity, with
-// identical mode semantics and flag spellings — and, for the
-// incremental and verify modes, the rebuild threshold (<= 0 selects
-// DefaultRebuildThreshold). Writer goroutine only; switching to
-// snapshot discards the tracker.
+// identical mode semantics and flag spellings — and the rebuild
+// threshold (<= 0 selects DefaultRebuildThreshold). Writer goroutine
+// only; it discards any tracker state.
 func (g *Graph) SetSCC(mode ConnectivityMode, rebuildThreshold int) {
 	g.sccMode = mode
-	if mode == ConnectivitySnapshot {
-		g.scc = nil
-		return
-	}
 	if rebuildThreshold <= 0 {
 		rebuildThreshold = DefaultRebuildThreshold
 	}
@@ -129,17 +145,17 @@ func (g *Graph) SCCMode() ConnectivityMode { return g.sccMode }
 func ParseSCC(s string) (ConnectivityMode, error) {
 	m, err := ParseConnectivity(s)
 	if err != nil {
-		return 0, fmt.Errorf("heapgraph: unknown scc mode %q (want snapshot, incremental or verify)", s)
+		return 0, fmt.Errorf("heapgraph: unknown scc mode %q (want incremental or verify)", s)
 	}
 	return m, nil
 }
 
 // SetSCCProbeBudget overrides the edge-insert probe budget (<= 0
-// restores DefaultSCCProbeBudget). No-op in snapshot mode. Exposed for
-// tests and tuning; the default is right for the paper's heap shapes.
+// restores DefaultSCCProbeBudget). Exposed for tests; the default is
+// right for the paper's heap shapes.
 func (g *Graph) SetSCCProbeBudget(n int) {
 	if g.scc == nil {
-		return
+		g.SetSCC(g.sccMode, 0)
 	}
 	if n <= 0 {
 		n = DefaultSCCProbeBudget
@@ -149,61 +165,39 @@ func (g *Graph) SetSCCProbeBudget(n int) {
 
 // StronglyConnectedComponentCount returns the number of strongly
 // connected components through the configured mode. Writer goroutine
-// only. In verify mode it computes both paths and panics on
+// only. In verify mode it also runs the Tarjan walk and panics on
 // divergence.
 func (g *Graph) StronglyConnectedComponentCount() int {
-	switch g.sccMode {
-	case ConnectivityIncremental:
-		return g.incrementalSCCCount()
-	case ConnectivityVerify:
-		inc := g.incrementalSCCCount()
-		snap := g.StronglyConnectedComponentsCached().Count
-		if inc != snap {
-			panic(fmtSCCDivergence(g, inc, snap))
-		}
-		return inc
-	default:
-		return g.StronglyConnectedComponentsCached().Count
+	if g.scc == nil {
+		g.SetSCC(g.sccMode, 0)
 	}
-}
-
-// fmtSCCDivergence builds the verify-mode panic message (kept out of
-// line so the query path stays tiny).
-func fmtSCCDivergence(g *Graph, inc, snap int) string {
-	return "heapgraph: scc verify divergence: incremental=" + itoa(uint64(inc)) +
-		" snapshot=" + itoa(uint64(snap)) + " (V=" + itoa(uint64(g.NumVertices())) +
-		" E=" + itoa(uint64(g.NumEdges())) + " gen=" + itoa(g.Generation()) + ")"
-}
-
-// incrementalSCCCount returns the tracker's count, rebuilding first if
-// the tracker has never been built or mutations have dirtied it.
-func (g *Graph) incrementalSCCCount() int {
 	t := g.scc
-	if !t.valid || t.dirty > 0 {
+	if !t.maintained() {
 		g.rebuildSCC()
 	}
+	if g.sccMode == ConnectivityVerify {
+		if walk := g.StronglyConnectedComponentsCached().Count; walk != t.count {
+			panic(fmt.Sprintf(
+				"heapgraph: scc verify divergence: incremental=%d walk=%d (V=%d E=%d gen=%d)",
+				t.count, walk, g.NumVertices(), g.NumEdges(), g.Generation()))
+		}
+	}
 	return t.count
-}
-
-// sccMaintain reports whether the tracker is present and exact.
-func (g *Graph) sccMaintain() bool {
-	t := g.scc
-	return t != nil && t.valid && t.dirty == 0
 }
 
 // sccAddVertex is the AddVertex hook: a new vertex is a new singleton
 // SCC.
 func (g *Graph) sccAddVertex(s int32) {
-	if !g.sccMaintain() {
+	t := g.scc
+	if t == nil || !t.maintained() {
 		return
 	}
-	t := g.scc
 	if int(s) >= len(t.node) {
 		t.node = append(t.node, 0)
 	}
 	t.node[s] = t.newNode()
 	t.count++
-	g.sccMaybeCompact()
+	g.sccSettle()
 }
 
 // sccAddEdge is the AddEdge hook (u != v slots; a self-loop never
@@ -212,10 +206,10 @@ func (g *Graph) sccAddVertex(s int32) {
 // bounded probe decides exactly which SCCs the new edge merges, or
 // dirties the tracker when the probe budget runs out.
 func (g *Graph) sccAddEdge(us, vs int32) {
-	if !g.sccMaintain() {
+	t := g.scc
+	if t == nil || !t.maintained() {
 		return
 	}
-	t := g.scc
 	ru := t.find(t.node[us])
 	if ru == t.find(t.node[vs]) {
 		return // intra-SCC edge: partition unchanged
@@ -228,8 +222,7 @@ func (g *Graph) sccAddEdge(us, vs int32) {
 // SCC(u)). See the file comment for the exactness argument.
 func (g *Graph) sccProbe(us, vs, ru int32) {
 	t := g.scc
-	t.ensureProbeScratch(len(g.ids))
-	t.stamp++
+	t.ensureScratch(len(g.ids))
 	work, budget := 0, t.budget
 	hit, bail := false, false
 
@@ -319,32 +312,42 @@ func (g *Graph) sccProbe(us, vs, ru int32) {
 	}
 }
 
-// ensureProbeScratch sizes the stamp arrays to the vertex arena and
-// handles stamp wraparound. Called at probe start, so growth never
-// invalidates in-flight marks. Growth takes 50% headroom: the arena
-// creeps one slot per AddVertex while the heap grows, and exact-fit
-// arrays would reallocate megabytes on every mutation of that phase.
-func (t *sccTracker) ensureProbeScratch(n int) {
+// ensureScratch sizes the slot-indexed stamp arrays to the vertex
+// arena, handles stamp wraparound, and starts a new stamp. Called at
+// the start of a probe, repair or rebuild, so growth never invalidates
+// in-flight marks. Growth takes 50% headroom: the arena creeps one
+// slot per AddVertex while the heap grows, and exact-fit arrays would
+// reallocate megabytes on every mutation of that phase.
+func (t *sccTracker) ensureScratch(n int) {
 	if len(t.visit) < n {
 		c := n + n/2
 		t.visit = make([]uint32, c)
 		t.reach = make([]uint32, c)
+		t.loc = make([]int32, c)
 		t.stamp = 0
 	}
 	if t.stamp == ^uint32(0) {
-		for i := range t.visit {
-			t.visit[i] = 0
-			t.reach[i] = 0
-		}
+		clear(t.visit)
+		clear(t.reach)
 		t.stamp = 0
+	}
+	t.stamp++
+}
+
+// addMember puts slot s in the member set unless it already is.
+func (t *sccTracker) addMember(s int32) {
+	if t.visit[s] != t.stamp {
+		t.visit[s] = t.stamp
+		t.members = append(t.members, s)
 	}
 }
 
 // sccRemoveEdge is the RemoveEdge hook, called after the adjacency
-// decrement for a non-self-loop edge u→v (slots us→vs). Exact cases: a
-// parallel edge remains, or the edge was cross-SCC (losing it cannot
-// split any cycle). An intra-SCC edge may have been the cycle's back
-// edge: count it toward the rebuild budget.
+// decrement for a non-self-loop edge u→v (slots us→vs). Exact no-ops:
+// a parallel edge remains, or the edge was cross-SCC (losing it cannot
+// split any cycle). An intra-SCC edge leaves the SCC intact iff u
+// still reaches v inside it — every cycle through the edge can then
+// detour — and otherwise the SCC is recomputed.
 func (g *Graph) sccRemoveEdge(v VertexID, us, vs int32) {
 	t := g.scc
 	if t == nil || !t.valid {
@@ -357,19 +360,32 @@ func (g *Graph) sccRemoveEdge(v VertexID, us, vs int32) {
 	if g.outAdj[us].get(v) > 0 {
 		return // parallel edge remains: same reachability
 	}
-	if t.find(t.node[us]) != t.find(t.node[vs]) {
+	root := t.find(t.node[us])
+	if root != t.find(t.node[vs]) {
 		return // cross-SCC edge: no cycle passed through it
 	}
-	t.dirty++
+	t.work = 0
+	t.outs = append(t.outs[:0], vs)
+	intact, ok := g.sccReaches(root, us, t.outs, true)
+	if ok && !intact {
+		t.ensureScratch(len(g.ids))
+		t.members = t.members[:0]
+		t.addMember(us)
+		ok = g.sccSplit(root)
+	}
+	if !ok {
+		t.dirty++
+	}
 }
 
-// sccRemoveVertex is the RemoveVertex hook. It must run BEFORE the
-// edges are detached (the slot's node entry and SCC size are what is
-// classified). Exact case: the vertex is its own SCC — no cycle runs
-// through it, so every other SCC survives intact and the count just
-// drops by one. Removing a member of a multi-vertex SCC shatters it
-// unpredictably: dirty.
-func (g *Graph) sccRemoveVertex(s int32) {
+// sccRemoveVertex is the first half of the RemoveVertex hook. It must
+// run BEFORE the edges are detached. A vertex that is its own SCC
+// lies on no cycle, so every other SCC survives intact and the count
+// just drops by one; so does a member of a larger SCC whose only
+// neighbour inside it is a single vertex (every path through it
+// returns where it came from). Otherwise it collects the vertex's
+// in- and out-neighbours inside the SCC for sccRemoveVertexDone.
+func (g *Graph) sccRemoveVertex(v VertexID, s int32) {
 	t := g.scc
 	if t == nil || !t.valid {
 		return
@@ -379,117 +395,267 @@ func (g *Graph) sccRemoveVertex(s int32) {
 		return
 	}
 	r := t.find(t.node[s])
-	if t.size[r] == 1 {
-		t.size[r] = 0
+	t.size[r]--
+	if t.size[r] == 0 {
 		t.count--
 		return
 	}
-	t.dirty++
+	t.ensureScratch(len(g.ids))
+	t.work = 0
+	t.ins, t.outs = t.ins[:0], t.outs[:0]
+	g.inAdj[s].each(func(id VertexID, _ int32) bool {
+		if w := g.slotOf(id); id != v && t.visit[w] != t.stamp && t.find(t.node[w]) == r {
+			t.visit[w] = t.stamp
+			t.ins = append(t.ins, w)
+		}
+		return t.charge(1)
+	})
+	g.outAdj[s].each(func(id VertexID, _ int32) bool {
+		if w := g.slotOf(id); id != v && t.reach[w] != t.stamp && t.find(t.node[w]) == r {
+			t.reach[w] = t.stamp
+			t.outs = append(t.outs, w)
+		}
+		return t.charge(1)
+	})
+	switch {
+	case t.work > DeleteRepairBudget:
+		t.dirty++
+	case len(t.ins) == 1 && len(t.outs) == 1 && t.ins[0] == t.outs[0]:
+		// A leaf of the SCC: nothing else depended on it.
+	default:
+		t.pending, t.pendingRoot = true, r
+	}
+}
+
+// sccRemoveVertexDone is the second half of the RemoveVertex hook,
+// run after the vertex's edges are detached. With P and Q the removed
+// vertex's in- and out-neighbours inside its SCC, the rest of the SCC
+// stays strongly connected iff some q0 in Q reaches all of Q and all
+// of P reach q0: any path that ran p→x→q can detour p⇝q0⇝q. If not,
+// the SCC is recomputed from P (every member reached the removed
+// vertex through one of them).
+func (g *Graph) sccRemoveVertexDone() {
+	t := g.scc
+	if t == nil || !t.pending {
+		return
+	}
+	t.pending = false
+	root := t.pendingRoot
+	q0 := t.outs[0]
+	intact, ok := g.sccReaches(root, q0, t.outs, true)
+	if ok && intact {
+		intact, ok = g.sccReaches(root, q0, t.ins, false)
+	}
+	if ok && !intact {
+		t.ensureScratch(len(g.ids))
+		t.members = t.members[:0]
+		for _, p := range t.ins {
+			t.addMember(p)
+		}
+		ok = g.sccSplit(root)
+	}
+	if !ok {
+		t.dirty++
+	}
+}
+
+// sccReaches reports whether a search from slot s — over out-edges if
+// forward, else in-edges — restricted to the SCC rooted at root
+// reaches every slot in targets. ok is false when the search overruns
+// DeleteRepairBudget first.
+func (g *Graph) sccReaches(root, s int32, targets []int32, forward bool) (reached, ok bool) {
+	t := g.scc
+	t.ensureScratch(len(g.ids))
+	left := 0
+	for _, w := range targets {
+		if t.reach[w] != t.stamp && w != s {
+			t.reach[w] = t.stamp
+			left++
+		}
+	}
+	t.visit[s] = t.stamp
+	t.queue = append(t.queue[:0], s)
+	for len(t.queue) > 0 && left > 0 {
+		x := t.queue[len(t.queue)-1]
+		t.queue = t.queue[:len(t.queue)-1]
+		adj := &g.inAdj[x]
+		if forward {
+			adj = &g.outAdj[x]
+		}
+		ok = true
+		adj.each(func(id VertexID, _ int32) bool {
+			if ok = t.charge(1); !ok {
+				return false
+			}
+			w := g.slotOf(id)
+			if t.visit[w] == t.stamp || t.find(t.node[w]) != root {
+				return true
+			}
+			t.visit[w] = t.stamp
+			if t.reach[w] == t.stamp {
+				left--
+			}
+			t.queue = append(t.queue, w)
+			return left > 0
+		})
+		if !ok {
+			return false, false
+		}
+	}
+	return left == 0, true
+}
+
+// sccSplit recomputes the SCC whose union-find root is root after a
+// delete inside it: an undirected search restricted to the SCC grows
+// t.members (seeded by the caller) to all of its surviving members,
+// then Tarjan over just those members splits it, each resulting SCC
+// on its own fresh node. It reports false — having changed nothing —
+// when the search overruns DeleteRepairBudget.
+func (g *Graph) sccSplit(root int32) bool {
+	t := g.scc
+	for i := 0; i < len(t.members); i++ {
+		s := t.members[i]
+		ok := true
+		scan := func(id VertexID, _ int32) bool {
+			if ok = t.charge(1); !ok {
+				return false
+			}
+			if w := g.slotOf(id); t.visit[w] != t.stamp && t.find(t.node[w]) == root {
+				t.addMember(w)
+			}
+			return true
+		}
+		g.outAdj[s].each(scan)
+		if ok {
+			g.inAdj[s].each(scan)
+		}
+		if !ok {
+			return false
+		}
+	}
+	n := g.sccComponents()
+	if n == 1 {
+		return true // still strongly connected
+	}
+	// The last SCC Tarjan emitted keeps the old node; the others get
+	// fresh ones.
+	base := int32(len(t.parent))
+	for c := 1; c < n; c++ {
+		t.size[t.newNode()] = 0
+	}
+	t.size[root] = 0
+	last := int32(n - 1)
+	for i, s := range t.members {
+		nd := root
+		if c := t.comp[i]; c != last {
+			nd = base + c
+		}
+		t.node[s] = nd
+		t.size[nd]++
+	}
+	t.count += n - 1
+	return true
 }
 
 // sccSettle runs at the end of a mutation (deletes AND inserts — a
 // probe bailout dirties on insert): once the dirty counter has spent
 // the rebuild budget, rebuild now rather than at the next query,
-// keeping worst-case query latency flat. Like wccSettle it must not
-// run mid-mutation.
+// keeping worst-case query latency flat; and when abandoned nodes
+// dominate the node arena, compact it the same way. Like wccSettle it
+// must not run mid-mutation.
 func (g *Graph) sccSettle() {
-	if t := g.scc; t != nil && t.valid && t.dirty >= t.threshold {
-		g.rebuildSCC()
-	}
-}
-
-// sccMaybeCompact rebuilds when abandoned nodes dominate the node
-// arena, bounding its growth under churn (the rebuild resets to one
-// node per SCC).
-func (g *Graph) sccMaybeCompact() {
 	t := g.scc
-	if len(t.parent) > 4*g.NumVertices()+64 {
+	if t != nil && t.valid && (t.dirty >= t.threshold || len(t.parent) > 4*g.NumVertices()+64) {
 		g.rebuildSCC()
 	}
 }
 
-// rebuildSCC recomputes the tracker from the live adjacency with an
-// iterative Tarjan walk: one union-find node per SCC, every member
-// slot pointing at it. Mirroring the FreezeSCC reduction, isolated
-// vertices (no edges in either direction) shortcut to singleton nodes
-// without entering Tarjan. All scratch — the CSR edge copy and the
-// Tarjan arrays — is tracker-owned and capacity-reused, so rebuilds
-// after the first allocate only when the graph has grown. This is
-// also the compaction path.
+// rebuildSCC recomputes the tracker from the live adjacency: isolated
+// vertices (no edges in either direction) shortcut to singleton nodes,
+// and Tarjan over every other live vertex gives one node per SCC. All
+// scratch is tracker-owned and capacity-reused, so rebuilds after the
+// first allocate only when the graph has grown. This is also the
+// compaction path.
 func (g *Graph) rebuildSCC() {
 	t := g.scc
-	n := len(g.ids)
-	if cap(t.node) < n {
-		t.node = make([]int32, n)
-	} else {
-		t.node = t.node[:n]
-	}
+	t.node = sizeI32(t.node, len(g.ids))
 	t.parent = t.parent[:0]
 	t.size = t.size[:0]
 	t.count = 0
+	t.pending = false
+	t.ensureScratch(len(g.ids))
+	t.members = t.members[:0]
+	for s := range g.ids {
+		switch {
+		case !g.alive[s]:
+		case g.inDeg[s] == 0 && g.outDeg[s] == 0:
+			t.node[s] = t.newNode()
+			t.count++
+		default:
+			t.addMember(int32(s))
+		}
+	}
+	n := g.sccComponents()
+	base := int32(len(t.parent))
+	for c := 0; c < n; c++ {
+		t.size[t.newNode()] = 0
+	}
+	for i, s := range t.members {
+		nd := base + t.comp[i]
+		t.node[s] = nd
+		t.size[nd]++
+	}
+	t.count += n
+	t.dirty = 0
+	t.valid = true
+}
 
+// sccComponents runs an iterative Tarjan over the subgraph induced by
+// t.members (the slots marked with the current stamp), storing each
+// member's SCC ordinal in t.comp and returning the number of SCCs.
+func (g *Graph) sccComponents() int {
+	t := g.scc
+	n := len(t.members)
+	for i, s := range t.members {
+		t.loc[s] = int32(i)
+	}
+	// CSR copy of the members' out-edges that stay inside the set.
 	t.offs = sizeI32(t.offs, n+1)
+	t.targets = t.targets[:0]
+	for i, s := range t.members {
+		t.offs[i] = int32(len(t.targets))
+		g.outAdj[s].each(func(id VertexID, _ int32) bool {
+			if w := g.slotOf(id); t.visit[w] == t.stamp {
+				t.targets = append(t.targets, t.loc[w])
+			}
+			return true
+		})
+	}
+	t.offs[n] = int32(len(t.targets))
+
+	t.comp = sizeI32(t.comp, n)
 	t.index = sizeI32(t.index, n)
 	t.low = sizeI32(t.low, n)
 	if cap(t.onStack) < n {
 		t.onStack = make([]bool, n)
-	} else {
-		t.onStack = t.onStack[:n]
 	}
-	for s := 0; s < n; s++ {
-		t.index[s] = 0
-		t.onStack[s] = false
-	}
+	t.onStack = t.onStack[:n]
+	clear(t.index)
+	clear(t.onStack)
 
-	// CSR copy of the out-edges of live, non-isolated vertices (dead
-	// and isolated slots get empty ranges). Targets of a live edge are
-	// never isolated, so the reduced graph is closed.
-	live := func(s int) bool {
-		return g.alive[s] && (g.inDeg[s] != 0 || g.outDeg[s] != 0)
-	}
-	total := int32(0)
-	for s := 0; s < n; s++ {
-		t.offs[s] = total
-		if live(s) {
-			total += int32(g.outAdj[s].distinct())
-		}
-	}
-	t.offs[n] = total
-	t.targets = sizeI32(t.targets, int(total))
-	for s := 0; s < n; s++ {
-		if !live(s) {
-			continue
-		}
-		i := t.offs[s]
-		g.outAdj[s].each(func(id VertexID, _ int32) bool {
-			t.targets[i] = g.slotOf(id)
-			i++
-			return true
-		})
-	}
-
-	// Isolated vertices: singleton SCCs, no Tarjan.
-	for s := 0; s < n; s++ {
-		if g.alive[s] && g.inDeg[s] == 0 && g.outDeg[s] == 0 {
-			t.node[s] = t.newNode()
-			t.count++
-		}
-	}
-
-	// Iterative Tarjan over the CSR reduction.
-	next := int32(1)
+	next, ncomp := int32(1), int32(0)
 	t.stack = t.stack[:0]
 	t.frames = t.frames[:0]
-	for root := 0; root < n; root++ {
-		if !live(root) || t.index[root] != 0 {
+	for root := int32(0); int(root) < n; root++ {
+		if t.index[root] != 0 {
 			continue
 		}
 		t.index[root] = next
 		t.low[root] = next
 		next++
-		t.stack = append(t.stack, int32(root))
+		t.stack = append(t.stack, root)
 		t.onStack[root] = true
-		t.frames = append(t.frames, sccFrame{v: int32(root)})
+		t.frames = append(t.frames, sccFrame{v: root})
 		for len(t.frames) > 0 {
 			f := &t.frames[len(t.frames)-1]
 			if base := t.offs[f.v]; base+f.pos < t.offs[f.v+1] {
@@ -515,33 +681,18 @@ func (g *Graph) rebuildSCC() {
 				}
 			}
 			if t.low[v] == t.index[v] {
-				r := t.newNode()
-				sz := int32(0)
 				for {
 					w := t.stack[len(t.stack)-1]
 					t.stack = t.stack[:len(t.stack)-1]
 					t.onStack[w] = false
-					t.node[w] = r
-					sz++
+					t.comp[w] = ncomp
 					if w == v {
 						break
 					}
 				}
-				t.size[r] = sz
-				t.count++
+				ncomp++
 			}
 		}
 	}
-	t.dirty = 0
-	t.valid = true
-}
-
-// sizeI32 returns a slice of length n, reusing s's capacity when it
-// suffices. Contents are unspecified; callers overwrite every entry
-// they read.
-func sizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
+	return int(ncomp)
 }

@@ -54,11 +54,12 @@ func sccRandomMix(t *testing.T, g *Graph, rng *rand.Rand, steps, idSpace int) {
 // against the incremental tracker at several rebuild thresholds (1 =
 // rebuild on every dirtying mutation, 1<<30 = only lazy query
 // rebuilds) and probe budgets (2 = nearly every probe bails out,
-// forcing the dirty path; default = probes mostly complete), checking
-// the count against the Tarjan walk after every few operations.
+// forcing the dirty path; 128 and the default = probes mostly
+// complete), checking the count against the Tarjan walk after every
+// few operations.
 func TestIncrementalSCCMatchesSnapshotRandom(t *testing.T) {
 	for _, th := range []int{1, 4, DefaultRebuildThreshold, 1 << 30} {
-		for _, budget := range []int{2, DefaultSCCProbeBudget} {
+		for _, budget := range []int{2, 128, DefaultSCCProbeBudget} {
 			th, budget := th, budget
 			t.Run("threshold="+itoa(uint64(th))+"/budget="+itoa(uint64(budget)), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(th)*7919 + int64(budget)*13 + 29))
@@ -151,9 +152,8 @@ func TestIncrementalSCCVerifyPanicsOnDivergence(t *testing.T) {
 
 // TestIncrementalSCCExactShapes pins the mutation shapes the tracker
 // claims to handle exactly: after each, the tracker must still be
-// clean (no dirty rebuild pending) and correct. The taxonomy differs
-// from the WCC tracker's — interior singleton-SCC vertex removals are
-// exact here, intra-SCC edge removals are not.
+// clean (no dirty rebuild pending) and correct. Every delete the
+// repair budget covers is exact, including splits of an SCC.
 func TestIncrementalSCCExactShapes(t *testing.T) {
 	clean := func(t *testing.T, g *Graph, wantCount int) {
 		t.Helper()
@@ -321,27 +321,37 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		clean(t, g, 1)
 	})
 
-	t.Run("intra-SCC edge removal goes conservative", func(t *testing.T) {
+	t.Run("intra-SCC edge removal", func(t *testing.T) {
 		g := New()
 		g.SetSCC(ConnectivityIncremental, 1<<30)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
 		g.AddEdge(2, 1)
-		if g.StronglyConnectedComponentCount() != 1 {
-			t.Fatal("setup")
-		}
-		g.RemoveEdge(2, 1) // breaks the cycle: must dirty, split must be seen
-		if g.scc.dirty == 0 {
-			t.Fatal("intra-SCC edge removal did not mark the tracker dirty")
-		}
-		if got := g.StronglyConnectedComponentCount(); got != 2 {
-			t.Fatalf("count after split = %d, want 2", got)
-		}
-		sccOracleCheck(t, g)
+		clean(t, g, 1)
+		g.RemoveEdge(2, 1) // breaks the cycle: Tarjan over {1,2} splits it
+		clean(t, g, 2)
 	})
 
-	t.Run("multi-member SCC vertex removal goes conservative", func(t *testing.T) {
+	t.Run("intra-SCC edge removal with a detour", func(t *testing.T) {
+		g := New()
+		g.SetSCC(ConnectivityIncremental, 1<<30)
+		for i := 1; i <= 4; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		g.AddEdge(1, 2)
+		g.AddEdge(2, 3)
+		g.AddEdge(3, 1)
+		g.AddEdge(1, 4)
+		g.AddEdge(4, 2)
+		clean(t, g, 1)
+		g.RemoveEdge(1, 2) // 1→4→2 still closes the cycle
+		clean(t, g, 1)
+		g.RemoveEdge(3, 1) // now nothing returns to 1
+		clean(t, g, 4)
+	})
+
+	t.Run("multi-member SCC vertex removal", func(t *testing.T) {
 		g := New()
 		g.SetSCC(ConnectivityIncremental, 1<<30)
 		for i := 1; i <= 3; i++ {
@@ -350,15 +360,79 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		g.AddEdge(1, 2)
 		g.AddEdge(2, 3)
 		g.AddEdge(3, 1)
-		if g.StronglyConnectedComponentCount() != 1 {
-			t.Fatal("setup")
+		clean(t, g, 1)
+		g.RemoveVertex(2) // shatters the 3-cycle into {1} and {3}
+		clean(t, g, 2)
+	})
+
+	t.Run("two cycles sharing a removed vertex", func(t *testing.T) {
+		// 0→1→2→0 and 0→3→4→5→0 form one SCC through 0; removing 0
+		// leaves two paths that are no longer even weakly connected.
+		g := New()
+		g.SetSCC(ConnectivityIncremental, 1<<30)
+		for i := 0; i <= 5; i++ {
+			g.AddVertex(VertexID(i))
 		}
-		g.RemoveVertex(2) // shatters the 3-cycle: must dirty
+		g.AddEdge(0, 1)
+		g.AddEdge(1, 2)
+		g.AddEdge(2, 0)
+		g.AddEdge(0, 3)
+		g.AddEdge(3, 4)
+		g.AddEdge(4, 5)
+		g.AddEdge(5, 0)
+		g.AddEdge(4, 3) // {3,4} stays a 2-cycle
+		clean(t, g, 1)
+		g.RemoveVertex(0)
+		clean(t, g, 4) // {1}, {2}, {3,4}, {5}
+	})
+
+	t.Run("intra-SCC edge removal goes conservative", func(t *testing.T) {
+		// Over budget: a cycle longer than the repair can enumerate.
+		// Cutting one edge must dirty the tracker, and the rebuild must
+		// see the cycle shatter into singletons.
+		g := New()
+		g.SetSCC(ConnectivityIncremental, 1<<30)
+		n := DeleteRepairBudget + 1
+		for i := 0; i < n; i++ {
+			g.AddVertex(VertexID(i))
+			if i > 0 {
+				g.AddEdge(VertexID(i-1), VertexID(i))
+			}
+		}
+		g.SetSCCProbeBudget(4 * n) // let the closing probe succeed
+		g.AddEdge(VertexID(n-1), 0)
+		clean(t, g, 1)
+		g.RemoveEdge(VertexID(n/2), VertexID(n/2+1))
 		if g.scc.dirty == 0 {
-			t.Fatal("multi-member SCC vertex removal did not mark the tracker dirty")
+			t.Fatal("over-budget repair did not mark the tracker dirty")
 		}
-		if got := g.StronglyConnectedComponentCount(); got != 2 {
-			t.Fatalf("count after shatter = %d, want 2", got)
+		if got := g.StronglyConnectedComponentCount(); got != n {
+			t.Fatalf("count after split = %d, want %d", got, n)
+		}
+		sccOracleCheck(t, g)
+	})
+
+	t.Run("multi-member SCC vertex removal goes conservative", func(t *testing.T) {
+		// Removing a vertex of the same over-long cycle: the rest is a
+		// path too long to recompute within the budget.
+		g := New()
+		g.SetSCC(ConnectivityIncremental, 1<<30)
+		n := DeleteRepairBudget + 1
+		for i := 0; i < n; i++ {
+			g.AddVertex(VertexID(i))
+			if i > 0 {
+				g.AddEdge(VertexID(i-1), VertexID(i))
+			}
+		}
+		g.SetSCCProbeBudget(4 * n)
+		g.AddEdge(VertexID(n-1), 0)
+		clean(t, g, 1)
+		g.RemoveVertex(VertexID(n / 2))
+		if g.scc.dirty == 0 {
+			t.Fatal("over-budget repair did not mark the tracker dirty")
+		}
+		if got := g.StronglyConnectedComponentCount(); got != n-1 {
+			t.Fatalf("count after shatter = %d, want %d", got, n-1)
 		}
 		sccOracleCheck(t, g)
 	})
@@ -423,8 +497,8 @@ func TestIncrementalSCCSlotReuse(t *testing.T) {
 }
 
 // TestIncrementalSCCSwitchModes flips a live graph between modes;
-// switching back to incremental must rebuild from scratch rather than
-// trust stale tracker state.
+// every switch must rebuild from scratch rather than trust tracker
+// state from before it.
 func TestIncrementalSCCSwitchModes(t *testing.T) {
 	g := New()
 	g.SetSCC(ConnectivityIncremental, 0)
@@ -436,14 +510,12 @@ func TestIncrementalSCCSwitchModes(t *testing.T) {
 	}
 	g.AddEdge(7, 0)
 	sccOracleCheck(t, g)
-	g.SetSCC(ConnectivitySnapshot, 0)
-	if g.scc != nil {
-		t.Fatal("snapshot mode should discard the tracker")
+	g.SetSCC(ConnectivityVerify, 0)
+	if g.scc.valid {
+		t.Fatal("a mode switch should discard the tracker state")
 	}
-	g.RemoveVertex(3) // mutate while untracked
-	if got, want := g.StronglyConnectedComponentCount(), g.StronglyConnectedComponents().Count; got != want {
-		t.Fatalf("snapshot count = %d, want %d", got, want)
-	}
+	g.RemoveVertex(3) // mutate while unbuilt
+	g.StronglyConnectedComponentCount()
 	g.SetSCC(ConnectivityIncremental, 0)
 	sccOracleCheck(t, g)
 	g.RemoveEdge(1, 2)
@@ -452,12 +524,12 @@ func TestIncrementalSCCSwitchModes(t *testing.T) {
 
 // TestIncrementalSCCAllocs is the steady-state allocation gate: once
 // the scratch arrays have hit their high-water marks, churn — probe
-// completions, probe-driven unions, singleton removals, dirtying
-// removals and the rebuilds they force — must reuse capacity. Wired
-// into CI without -race (race instrumentation allocates).
+// completions, probe-driven unions, singleton removals, split repairs
+// and the compactions they force — must reuse capacity. Wired into CI
+// without -race (race instrumentation allocates).
 func TestIncrementalSCCAllocs(t *testing.T) {
 	g := New()
-	g.SetSCC(ConnectivityIncremental, 8)
+	g.SetSCC(ConnectivityIncremental, 0)
 	const chain = 256
 	for i := 0; i < chain; i++ {
 		g.AddVertex(VertexID(i))
@@ -465,12 +537,22 @@ func TestIncrementalSCCAllocs(t *testing.T) {
 			g.AddEdge(VertexID(i-1), VertexID(i))
 		}
 	}
+	hub := VertexID(2000)
+	for i := VertexID(0); i < 5; i++ {
+		g.AddVertex(hub + i)
+	}
+	g.AddEdge(hub, hub+1)
+	g.AddEdge(hub+1, hub+2)
+	g.AddEdge(hub+2, hub)
+	g.AddEdge(hub, hub+3)
+	g.AddEdge(hub+3, hub+4)
+	g.AddEdge(hub+4, hub)
 	g.StronglyConnectedComponentCount()
 
 	round := func() {
 		// Cycle churn: closing the tail cycle exercises the probe's
-		// merge path; breaking it is an intra-SCC removal that dirties
-		// and forces rebuilds (lazily at the query).
+		// merge path; breaking it is an intra-SCC removal that the
+		// split repair resolves.
 		for k := 0; k < 16; k++ {
 			g.AddEdge(chain-1, chain-6)
 			g.RemoveEdge(chain-1, chain-6)
@@ -488,6 +570,22 @@ func TestIncrementalSCCAllocs(t *testing.T) {
 			g.RemoveVertex(VertexID(1000 + k))
 		}
 		g.StronglyConnectedComponentCount()
+		// Split churn: two cycles through a hub vertex; removing the
+		// hub repairs the SCC into its remaining pieces, and re-adding
+		// it merges them back through the probe.
+		for k := 0; k < 8; k++ {
+			g.RemoveVertex(hub)
+			g.StronglyConnectedComponentCount()
+			g.AddVertex(hub)
+			g.AddEdge(hub, hub+1)
+			g.AddEdge(hub+2, hub)
+			g.AddEdge(hub, hub+3)
+			g.AddEdge(hub+4, hub)
+			g.StronglyConnectedComponentCount()
+		}
+		if g.scc.dirty != 0 {
+			t.Fatal("a repairable delete dirtied the tracker")
+		}
 	}
 	for i := 0; i < 64; i++ {
 		round()
@@ -499,16 +597,18 @@ func TestIncrementalSCCAllocs(t *testing.T) {
 
 // TestParseSCC covers the -scc flag spellings and the error path.
 func TestParseSCC(t *testing.T) {
-	for _, mode := range []ConnectivityMode{ConnectivitySnapshot, ConnectivityIncremental, ConnectivityVerify} {
+	for _, mode := range []ConnectivityMode{ConnectivityIncremental, ConnectivityVerify} {
 		got, err := ParseSCC(mode.String())
 		if err != nil || got != mode {
 			t.Errorf("ParseSCC(%q) = %v, %v", mode.String(), got, err)
 		}
 	}
-	if _, err := ParseSCC("eventual"); err == nil {
-		t.Error("ParseSCC accepted an unknown mode")
-	} else if !strings.Contains(err.Error(), "scc mode") {
-		t.Errorf("ParseSCC error should name the scc flag: %v", err)
+	for _, bad := range []string{"snapshot", "eventual"} {
+		if _, err := ParseSCC(bad); err == nil {
+			t.Errorf("ParseSCC accepted %q", bad)
+		} else if !strings.Contains(err.Error(), "scc mode") {
+			t.Errorf("ParseSCC error should name the scc flag: %v", err)
+		}
 	}
 }
 

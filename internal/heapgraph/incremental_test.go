@@ -24,7 +24,7 @@ func oracleCheck(t *testing.T, g *Graph) {
 // TestIncrementalWCCMatchesSnapshotRandom drives a delete-heavy random
 // mutation mix against the incremental tracker at several rebuild
 // thresholds (1 = rebuild on every conservative delete, 1<<30 = only
-// lazy query rebuilds) and checks the count against the snapshot walk
+// lazy query rebuilds) and checks the count against the graph walk
 // after every few operations.
 func TestIncrementalWCCMatchesSnapshotRandom(t *testing.T) {
 	for _, th := range []int{1, 4, DefaultRebuildThreshold, 1 << 30} {
@@ -221,7 +221,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 		clean(t, g, 1)
 	})
 
-	t.Run("interior vertex removal goes conservative", func(t *testing.T) {
+	t.Run("interior vertex removal", func(t *testing.T) {
 		g := New()
 		g.SetConnectivity(ConnectivityIncremental, 1<<30)
 		for i := 1; i <= 3; i++ {
@@ -229,12 +229,139 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 		}
 		g.AddEdge(1, 2)
 		g.AddEdge(2, 3)
-		if g.ConnectedComponentCount() != 1 {
-			t.Fatal("setup")
+		clean(t, g, 1)
+		g.RemoveVertex(2) // ≥2 neighbours: the split search sees 1 | 3
+		clean(t, g, 2)
+	})
+
+	t.Run("tree edge cut", func(t *testing.T) {
+		// A binary tree of 15; cutting the edge above node 2 detaches
+		// its 7-node subtree, the smaller side.
+		g := New()
+		g.SetConnectivity(ConnectivityIncremental, 1<<30)
+		for i := 1; i <= 15; i++ {
+			g.AddVertex(VertexID(i))
+			if i > 1 {
+				g.AddEdge(VertexID(i/2), VertexID(i))
+			}
 		}
-		g.RemoveVertex(2) // ≥2 neighbours: must dirty, and the split must be seen
+		clean(t, g, 1)
+		g.RemoveEdge(1, 2)
+		clean(t, g, 2)
+		g.RemoveEdge(3, 7) // and a 3-node subtree off the other side
+		clean(t, g, 3)
+	})
+
+	t.Run("cycle edge cut keeps the component", func(t *testing.T) {
+		g := New()
+		g.SetConnectivity(ConnectivityIncremental, 1<<30)
+		for i := 0; i < 6; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		for i := 0; i < 6; i++ {
+			g.AddEdge(VertexID(i), VertexID((i+1)%6))
+		}
+		clean(t, g, 1)
+		g.RemoveEdge(2, 3) // the searches meet around the cycle
+		clean(t, g, 1)
+	})
+
+	t.Run("3-neighbour vertex removal splits into 3", func(t *testing.T) {
+		// A hub with three 2-node arms, one arm pointing into the hub.
+		g := New()
+		g.SetConnectivity(ConnectivityIncremental, 1<<30)
+		for i := 0; i <= 6; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		g.AddEdge(0, 1)
+		g.AddEdge(1, 2)
+		g.AddEdge(0, 3)
+		g.AddEdge(3, 4)
+		g.AddEdge(5, 0)
+		g.AddEdge(6, 5)
+		clean(t, g, 1)
+		g.RemoveVertex(0)
+		clean(t, g, 3)
+	})
+
+	t.Run("3-neighbour vertex removal with two arms joined", func(t *testing.T) {
+		g := New()
+		g.SetConnectivity(ConnectivityIncremental, 1<<30)
+		for i := 0; i <= 6; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		g.AddEdge(0, 1)
+		g.AddEdge(0, 3)
+		g.AddEdge(0, 5)
+		g.AddEdge(1, 2)
+		g.AddEdge(2, 4)
+		g.AddEdge(3, 4) // arms 1 and 3 meet at 4
+		g.AddEdge(5, 6)
+		clean(t, g, 1)
+		g.RemoveVertex(0)
+		clean(t, g, 2)
+	})
+
+	t.Run("two cycles sharing a removed vertex", func(t *testing.T) {
+		// 0→1→2→0 and 0→3→4→0: removing 0 leaves the two paths 1→2 and
+		// 3→4 as separate components.
+		g := New()
+		g.SetConnectivity(ConnectivityIncremental, 1<<30)
+		for i := 0; i <= 4; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		g.AddEdge(0, 1)
+		g.AddEdge(1, 2)
+		g.AddEdge(2, 0)
+		g.AddEdge(0, 3)
+		g.AddEdge(3, 4)
+		g.AddEdge(4, 0)
+		clean(t, g, 1)
+		g.RemoveVertex(0)
+		clean(t, g, 2)
+	})
+
+	t.Run("over-budget edge cut goes conservative", func(t *testing.T) {
+		// Removing the middle of a list longer than the repair budget
+		// leaves two halves too large to enumerate: the delete must
+		// dirty the tracker, and the rebuild must see the split.
+		g := New()
+		g.SetConnectivity(ConnectivityIncremental, 1<<30)
+		n := 2*DeleteRepairBudget + 3
+		for i := 0; i < n; i++ {
+			g.AddVertex(VertexID(i))
+			if i > 0 {
+				g.AddEdge(VertexID(i-1), VertexID(i))
+			}
+		}
+		clean(t, g, 1)
+		g.RemoveEdge(VertexID(n/2), VertexID(n/2+1))
 		if g.wcc.dirty == 0 {
-			t.Fatal("interior removal did not mark the tracker dirty")
+			t.Fatal("over-budget split did not mark the tracker dirty")
+		}
+		if got := g.ConnectedComponentCount(); got != 2 {
+			t.Fatalf("count after split = %d, want 2", got)
+		}
+		oracleCheck(t, g)
+	})
+
+	t.Run("interior vertex removal goes conservative", func(t *testing.T) {
+		// The vertex-removal form of the case above: removing the
+		// middle of the over-long list leaves two halves the split
+		// search cannot finish within the budget.
+		g := New()
+		g.SetConnectivity(ConnectivityIncremental, 1<<30)
+		n := 2*DeleteRepairBudget + 3
+		for i := 0; i < n; i++ {
+			g.AddVertex(VertexID(i))
+			if i > 0 {
+				g.AddEdge(VertexID(i-1), VertexID(i))
+			}
+		}
+		clean(t, g, 1)
+		g.RemoveVertex(VertexID(n / 2))
+		if g.wcc.dirty == 0 {
+			t.Fatal("over-budget removal did not mark the tracker dirty")
 		}
 		if got := g.ConnectedComponentCount(); got != 2 {
 			t.Fatalf("count after split = %d, want 2", got)
@@ -275,8 +402,8 @@ func TestIncrementalWCCSlotReuse(t *testing.T) {
 }
 
 // TestIncrementalWCCSwitchModes flips a live graph between modes;
-// switching back to incremental must rebuild from scratch rather than
-// trust stale tracker state.
+// every switch must rebuild from scratch rather than trust tracker
+// state from before it.
 func TestIncrementalWCCSwitchModes(t *testing.T) {
 	g := New()
 	g.SetConnectivity(ConnectivityIncremental, 0)
@@ -287,14 +414,12 @@ func TestIncrementalWCCSwitchModes(t *testing.T) {
 		}
 	}
 	oracleCheck(t, g)
-	g.SetConnectivity(ConnectivitySnapshot, 0)
-	if g.wcc != nil {
-		t.Fatal("snapshot mode should discard the tracker")
+	g.SetConnectivity(ConnectivityVerify, 0)
+	if g.wcc.valid {
+		t.Fatal("a mode switch should discard the tracker state")
 	}
-	g.RemoveVertex(3) // mutate while untracked
-	if got, want := g.ConnectedComponentCount(), g.WeaklyConnectedComponents().Count; got != want {
-		t.Fatalf("snapshot count = %d, want %d", got, want)
-	}
+	g.RemoveVertex(3) // mutate while unbuilt
+	g.ConnectedComponentCount()
 	g.SetConnectivity(ConnectivityIncremental, 0)
 	oracleCheck(t, g)
 	g.RemoveEdge(1, 2)
@@ -302,12 +427,13 @@ func TestIncrementalWCCSwitchModes(t *testing.T) {
 }
 
 // TestIncrementalWCCAllocs is the steady-state allocation gate: once
-// the node arena has hit its high-water mark, churn (including detach
-// growth, threshold rebuilds and compaction) must reuse capacity.
+// the node arena and the repair scratch have hit their high-water
+// marks, churn (including split repairs, detach growth and
+// compaction) must reuse capacity.
 // Wired into CI without -race (race instrumentation allocates).
 func TestIncrementalWCCAllocs(t *testing.T) {
 	g := New()
-	g.SetConnectivity(ConnectivityIncremental, 8)
+	g.SetConnectivity(ConnectivityIncremental, 0)
 	const ring = 256
 	for i := 0; i < ring; i++ {
 		g.AddVertex(VertexID(i))
@@ -318,6 +444,16 @@ func TestIncrementalWCCAllocs(t *testing.T) {
 	pendant := VertexID(ring)
 	g.AddVertex(pendant)
 	g.AddEdge(0, pendant)
+	// A 4-vertex tail hanging off the pendant: tail+1 has three
+	// distinct neighbours.
+	tail := VertexID(ring + 1)
+	for i := VertexID(0); i < 4; i++ {
+		g.AddVertex(tail + i)
+	}
+	g.AddEdge(pendant, tail)
+	g.AddEdge(tail, tail+1)
+	g.AddEdge(tail+1, tail+2)
+	g.AddEdge(tail+3, tail+1)
 	g.ConnectedComponentCount()
 
 	round := func() {
@@ -328,13 +464,31 @@ func TestIncrementalWCCAllocs(t *testing.T) {
 			g.AddEdge(0, pendant)
 			g.ConnectedComponentCount()
 		}
-		// Conservative churn: a ring edge removal can split, so it
-		// dirties the tracker and exercises the threshold rebuild.
+		// Repair churn: a ring edge cut runs the split search (the
+		// two sides meet around the ring).
 		for k := 0; k < 16; k++ {
 			e := VertexID(k * 7 % ring)
 			g.RemoveEdge(e, VertexID((int(e)+1)%ring))
 			g.AddEdge(e, VertexID((int(e)+1)%ring))
 			g.ConnectedComponentCount()
+		}
+		// Split churn: cutting the pendant tail's link detaches it onto
+		// a fresh node, and removing the tail's middle vertex splits it
+		// three ways; re-linking merges everything back.
+		for k := 0; k < 8; k++ {
+			g.RemoveEdge(pendant, tail)
+			g.ConnectedComponentCount()
+			g.RemoveVertex(tail + 1)
+			g.ConnectedComponentCount()
+			g.AddVertex(tail + 1)
+			g.AddEdge(tail, tail+1)
+			g.AddEdge(tail+1, tail+2)
+			g.AddEdge(tail+3, tail+1)
+			g.AddEdge(pendant, tail)
+			g.ConnectedComponentCount()
+		}
+		if g.wcc.dirty != 0 {
+			t.Fatal("a repairable delete dirtied the tracker")
 		}
 	}
 	// Warm past the arena's high-water mark (growth and the compaction
@@ -350,42 +504,52 @@ func TestIncrementalWCCAllocs(t *testing.T) {
 // TestParseConnectivity covers the flag spellings and their round-trip
 // through String.
 func TestParseConnectivity(t *testing.T) {
-	for _, mode := range []ConnectivityMode{ConnectivitySnapshot, ConnectivityIncremental, ConnectivityVerify} {
+	for _, mode := range []ConnectivityMode{ConnectivityIncremental, ConnectivityVerify} {
 		got, err := ParseConnectivity(mode.String())
 		if err != nil || got != mode {
 			t.Errorf("ParseConnectivity(%q) = %v, %v", mode.String(), got, err)
 		}
 	}
-	if _, err := ParseConnectivity("eventual"); err == nil {
-		t.Error("ParseConnectivity accepted an unknown mode")
+	for _, bad := range []string{"snapshot", "eventual", ""} {
+		if _, err := ParseConnectivity(bad); err == nil {
+			t.Errorf("ParseConnectivity accepted %q", bad)
+		}
 	}
 }
 
-// TestFreezeSCCExcludesIsolated checks the SCC-only freeze: isolated
-// vertices are returned as a count instead of materialized, and the
-// structure still walks to the same SCC statistics once they are
-// added back.
-func TestFreezeSCCExcludesIsolated(t *testing.T) {
-	g := New()
-	for i := 0; i < 10; i++ {
-		g.AddVertex(VertexID(i))
-	}
-	// A 3-cycle, a 2-path, and 5 isolated vertices.
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	g.AddEdge(3, 4)
-	st, isolated := g.FreezeSCC()
-	if isolated != 5 {
-		t.Fatalf("isolated = %d, want 5", isolated)
-	}
-	if st.NumVertices() != 5 {
-		t.Fatalf("frozen vertices = %d, want 5", st.NumVertices())
-	}
-	scc := st.StronglyConnectedComponents()
-	scc.Count += isolated
-	want := g.StronglyConnectedComponents()
-	if scc.Count != want.Count || scc.Largest != want.Largest {
-		t.Fatalf("SCC via FreezeSCC = %+v, full walk = %+v", scc, want)
-	}
+// FuzzIncrementalWCC feeds arbitrary byte programs to the tracker as
+// mutation sequences and diffs the maintained count against the walk
+// after every operation, with rebuilds on every dirty delete
+// (threshold 1) and only at queries (threshold 2^30). Two bytes encode
+// one operation: an opcode and two 4-bit vertex operands.
+func FuzzIncrementalWCC(f *testing.F) {
+	f.Add([]byte{0x00, 0x01, 0x00, 0x02, 0x01, 0x12, 0x02, 0x12})
+	f.Add([]byte{0x00, 0x01, 0x00, 0x02, 0x00, 0x03, 0x01, 0x12, 0x01, 0x13, 0x03, 0x10})
+	seed := make([]byte, 128)
+	rng := rand.New(rand.NewSource(11))
+	rng.Read(seed)
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, th := range []int{1, 1 << 30} {
+			g := New()
+			g.SetConnectivity(ConnectivityIncremental, th)
+			for i := 0; i+1 < len(data); i += 2 {
+				u := VertexID(data[i+1] >> 4)
+				v := VertexID(data[i+1] & 0x0f)
+				switch data[i] % 5 {
+				case 0:
+					g.AddVertex(u)
+				case 1:
+					g.AddEdge(u, v)
+				case 2:
+					g.RemoveEdge(u, v)
+				case 3:
+					g.RemoveVertex(u)
+				case 4:
+					g.AddEdge(u, u)
+				}
+				oracleCheck(t, g)
+			}
+		}
+	})
 }

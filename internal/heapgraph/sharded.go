@@ -3,8 +3,8 @@ package heapgraph
 // This file implements the lock-striped degree-count structure behind
 // the graph's O(1) metric reads. The concurrent monitoring pipeline
 // (package logger) mutates the graph on a single consumer goroutine
-// while other goroutines — metric workers, live-status readers, the
-// benchmark harness — read the degree counts concurrently. Plain int
+// while other goroutines — live-status readers, the benchmark
+// harness — read the degree counts concurrently. Plain int
 // histograms would make every such read a data race; a single mutex
 // would put a lock acquisition on the mutation hot path. Instead the
 // counts are striped across shards of padded atomic counters, selected

@@ -282,17 +282,15 @@ func (ing *Ingest) mutate() {
 	}
 }
 
-// Close flushes the producer's partial batch, drains the pipeline,
-// stops every worker goroutine, and releases the logger's metric
-// workers. After Close the Logger is exclusively the caller's again
-// (Report is safe). Idempotent.
+// Close flushes the producer's partial batch, drains the pipeline and
+// stops every worker goroutine. After Close the Logger is exclusively
+// the caller's again (Report is safe). Idempotent.
 func (ing *Ingest) Close() error {
 	ing.closeOnce.Do(func() {
 		ing.Flush()
 		close(ing.work)
 		close(ing.pending)
 		<-ing.done
-		ing.log.DrainMetrics()
 	})
 	return nil
 }

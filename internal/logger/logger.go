@@ -83,22 +83,11 @@ type Options struct {
 	Granularity Granularity
 	// Symtab resolves function IDs for reporting; optional.
 	Symtab *event.Symtab
-	// MetricWorkers > 0 evaluates snapshot-mode extension metrics
-	// (WCC/SCC) on that many worker goroutines instead of inline at
-	// the metric computation point, so sampling never stalls event
-	// ingestion for a whole-graph walk. Exact results are joined back
-	// into the recorded snapshots by tick before Report returns;
-	// observers see the newest completed values in the async slots
-	// (carry-forward) rather than blocking. Ignored when no metric in
-	// the suite needs async dispatch under the configured component
-	// modes — with both Components and SCCs incremental there is
-	// nothing to dispatch and no worker is started.
-	MetricWorkers int
 	// Connectivity selects how the Components metric obtains the weak
-	// component count: recomputed from a snapshot walk (the zero
-	// value, the original behavior), maintained incrementally under
-	// mutation, or both with a divergence check (verify — an oracle
-	// mode for tests). See heapgraph.ConnectivityMode.
+	// component count: maintained incrementally under mutation (the
+	// zero value), or additionally recomputed by a graph walk with a
+	// divergence check (verify — an oracle mode for tests). See
+	// heapgraph.ConnectivityMode.
 	Connectivity heapgraph.ConnectivityMode
 	// SCC selects the same for the SCCs metric's strong component
 	// count, independently of Connectivity (the modes share spellings
@@ -106,8 +95,7 @@ type Options struct {
 	SCC heapgraph.ConnectivityMode
 	// RebuildThreshold is the incremental trackers' dirty budget
 	// between amortized rebuilds, shared by both trackers; zero
-	// selects heapgraph.DefaultRebuildThreshold. Ignored in snapshot
-	// modes.
+	// selects heapgraph.DefaultRebuildThreshold.
 	RebuildThreshold int
 }
 
@@ -187,7 +175,6 @@ func (r *Report) Series(id metrics.ID) []float64 {
 type Logger struct {
 	opts  Options
 	suite metrics.Suite
-	async *metrics.Async // non-nil when MetricWorkers > 0 and the suite needs it
 
 	graph   *heapgraph.Graph
 	objects *addrindex.Table[objInfo]
@@ -231,12 +218,6 @@ func New(opts Options) *Logger {
 	}
 	l.graph.SetConnectivity(opts.Connectivity, opts.RebuildThreshold)
 	l.graph.SetSCC(opts.SCC, opts.RebuildThreshold)
-	// Async machinery exists for snapshot-mode component walks only:
-	// a suite whose component metrics are all incremental (or absent)
-	// computes every sample inline and skips the workers entirely.
-	if opts.MetricWorkers > 0 && opts.Suite.NeedsAsync(opts.Connectivity, opts.SCC) {
-		l.async = metrics.NewAsync(opts.Suite, opts.MetricWorkers)
-	}
 	return l
 }
 
@@ -513,20 +494,8 @@ func (l *Logger) onStore(addr, value uint64) {
 // and one faulty diagnostic attachment must not end the diagnosis.
 func (l *Logger) sample() {
 	l.tick++
-	var snap metrics.Snapshot
-	if l.async != nil {
-		// Workers overwrite the recorded snapshot's expensive slots in
-		// place when exact results land; observers get the stable copy
-		// Compute took before dispatch, so a retained slice never
-		// mutates under them.
-		var observed []float64
-		snap, observed = l.async.Compute(l.graph, l.tick)
-		l.snaps = append(l.snaps, snap)
-		snap.Values = observed
-	} else {
-		snap = l.suite.Compute(l.graph, l.tick)
-		l.snaps = append(l.snaps, snap)
-	}
+	snap := l.suite.Compute(l.graph, l.tick)
+	l.snaps = append(l.snaps, snap)
 	for i := 0; i < len(l.observers); i++ {
 		if l.dispatch(l.observers[i], snap) {
 			continue
@@ -553,29 +522,8 @@ func (l *Logger) dispatch(o SampleObserver, snap metrics.Snapshot) (ok bool) {
 // Ticks returns the number of metric computation points sampled.
 func (l *Logger) Ticks() uint64 { return l.tick }
 
-// Join blocks until every in-flight asynchronous metric computation
-// has written its exact results into the recorded snapshots. No-op
-// without MetricWorkers.
-func (l *Logger) Join() {
-	if l.async != nil {
-		l.async.Wait()
-	}
-}
-
-// DrainMetrics joins outstanding asynchronous metric work and stops
-// the metric workers. Call it when the logger is done ingesting (the
-// Pipeline does this in Close); the logger remains usable, but further
-// samples evaluate expensive metrics inline.
-func (l *Logger) DrainMetrics() {
-	if l.async != nil {
-		l.async.Close()
-		l.async = nil
-	}
-}
-
 // Report finalizes and returns the metric report for the run.
 func (l *Logger) Report() *Report {
-	l.Join()
 	names := make([]string, l.suite.Len())
 	for i, id := range l.suite.IDs() {
 		names[i] = id.String()

@@ -170,9 +170,9 @@ func (p *Pipeline) Dropped() uint64 { return p.dropped.Load() }
 func (p *Pipeline) Logger() *Logger { return p.log }
 
 // Close waits for every Producer to be closed, drains the queue, stops
-// the consumer, folds the drop counter into the logger's health
-// accounting, and releases the logger's metric workers. After Close
-// the Logger is exclusively the caller's again (Report is safe).
+// the consumer, and folds the drop counter into the logger's health
+// accounting. After Close the Logger is exclusively the caller's again
+// (Report is safe).
 func (p *Pipeline) Close() error {
 	p.closeOnce.Do(func() {
 		p.producers.Wait()
@@ -182,7 +182,6 @@ func (p *Pipeline) Close() error {
 			p.ingest.Close()
 		}
 		p.log.Health().DroppedEvents += p.dropped.Load()
-		p.log.DrainMetrics()
 	})
 	return nil
 }

@@ -275,10 +275,10 @@ func TestPipelineDropPolicy(t *testing.T) {
 	}
 }
 
-// TestPipelineAsyncMetricsMatchSync: a logger with MetricWorkers joins
-// exact WCC/SCC values back into the recorded snapshots by tick, so
-// after Close/Report the snapshots must equal a synchronous run over
-// the same events.
+// TestPipelineAsyncMetricsMatchSync: a logger fed through the
+// asynchronous pipeline evaluates the extended suite (WCC/SCC from the
+// incremental trackers) on its consumer goroutine; after Close/Report
+// its snapshots must equal a synchronous run over the same events.
 func TestPipelineAsyncMetricsMatchSync(t *testing.T) {
 	evs := arenaEvents(0, 600)
 
@@ -288,7 +288,7 @@ func TestPipelineAsyncMetricsMatchSync(t *testing.T) {
 	}
 	want := sync1.Report()
 
-	asyncL := New(Options{Frequency: 16, Suite: metrics.ExtendedSuite(), MetricWorkers: 3})
+	asyncL := New(Options{Frequency: 16, Suite: metrics.ExtendedSuite()})
 	p := NewPipeline(asyncL, PipelineOptions{BatchSize: 64})
 	pr := p.NewProducer()
 	for _, e := range evs {
@@ -310,11 +310,11 @@ func TestPipelineAsyncMetricsMatchSync(t *testing.T) {
 	}
 }
 
-// TestPipelineAsyncObserverSeesDefinedValues: observers in async mode
-// receive carry-forward values for expensive metrics — defined (not
-// NaN) and not racing with the workers' in-place joins.
+// TestPipelineAsyncObserverSeesDefinedValues: observers behind the
+// asynchronous pipeline receive defined (not NaN) extended-suite
+// values, equal to the snapshots the report records.
 func TestPipelineAsyncObserverSeesDefinedValues(t *testing.T) {
-	l := New(Options{Frequency: 16, Suite: metrics.ExtendedSuite(), MetricWorkers: 2})
+	l := New(Options{Frequency: 16, Suite: metrics.ExtendedSuite()})
 	suite := l.Suite()
 	wccIdx := suite.Index(metrics.Components)
 	var observed [][]float64
@@ -340,6 +340,15 @@ func TestPipelineAsyncObserverSeesDefinedValues(t *testing.T) {
 		}
 		if v := vals[wccIdx]; v != v { // NaN check
 			t.Fatalf("sample %d carries NaN for %s", i, metrics.Components)
+		}
+	}
+	if rep := l.Report(); len(rep.Snapshots) != len(observed) {
+		t.Fatalf("observer saw %d samples, report has %d", len(observed), len(rep.Snapshots))
+	} else {
+		for i := range observed {
+			if !reflect.DeepEqual(observed[i], rep.Snapshots[i].Values) {
+				t.Fatalf("sample %d: observed %v, recorded %v", i, observed[i], rep.Snapshots[i].Values)
+			}
 		}
 	}
 }

@@ -48,49 +48,9 @@ func TestDefaultSuite(t *testing.T) {
 		t.Fatalf("default suite has %d metrics, want 7", s.Len())
 	}
 	for _, id := range s.IDs() {
-		if id.NeedsWalk(heapgraph.ConnectivitySnapshot, heapgraph.ConnectivitySnapshot) {
-			t.Errorf("default suite contains walk-requiring metric %v", id)
+		if id == Components || id == SCCs {
+			t.Errorf("default suite contains structure metric %v", id)
 		}
-	}
-	if s.NeedsAsync(heapgraph.ConnectivitySnapshot, heapgraph.ConnectivitySnapshot) {
-		t.Error("default suite claims to need async dispatch")
-	}
-}
-
-// TestNeedsWalkModeAware pins the mode-aware dispatch decisions that
-// replaced the hardcoded Expensive() gate: a component metric needs a
-// whole-graph walk at metric points only in snapshot mode.
-func TestNeedsWalkModeAware(t *testing.T) {
-	snapM, inc, ver := heapgraph.ConnectivitySnapshot, heapgraph.ConnectivityIncremental, heapgraph.ConnectivityVerify
-	cases := []struct {
-		id       ID
-		conn, sc heapgraph.ConnectivityMode
-		want     bool
-	}{
-		{Components, snapM, snapM, true},
-		{Components, inc, snapM, false},
-		{Components, ver, snapM, false}, // verify walks inline, not async
-		{Components, snapM, inc, true},  // SCC mode is irrelevant to Components
-		{SCCs, snapM, snapM, true},
-		{SCCs, snapM, inc, false},
-		{SCCs, snapM, ver, false},
-		{SCCs, inc, snapM, true}, // WCC mode is irrelevant to SCCs
-		{Roots, snapM, snapM, false},
-		{InEqOut, snapM, snapM, false},
-	}
-	for _, c := range cases {
-		if got := c.id.NeedsWalk(c.conn, c.sc); got != c.want {
-			t.Errorf("%v.NeedsWalk(%v, %v) = %v, want %v", c.id, c.conn, c.sc, got, c.want)
-		}
-	}
-	if !ExtendedSuite().NeedsAsync(inc, snapM) {
-		t.Error("extended suite with snapshot SCCs should need async")
-	}
-	if ExtendedSuite().NeedsAsync(inc, inc) {
-		t.Error("fully incremental extended suite should not need async")
-	}
-	if ExtendedSuite().NeedsAsync(ver, ver) {
-		t.Error("verify modes pay their walks inline; no async needed")
 	}
 }
 
@@ -267,64 +227,48 @@ func TestSeriesCheckedSkipsNarrowSnapshots(t *testing.T) {
 	}
 }
 
-// TestAsyncMatchesSyncCompute drives the asynchronous evaluator
-// through a mutating graph and verifies that once Wait returns, every
-// recorded snapshot holds exactly the values synchronous evaluation
-// produced at the same points.
-func TestAsyncMatchesSyncCompute(t *testing.T) {
+// TestComputeIncrementalMatchesVerify drives a mutating graph — chains
+// grown, cycles closed, vertices and edges removed — and evaluates the
+// extended suite at every point twice: on a graph whose component
+// counts come from the incremental trackers alone, and on a twin in
+// verify mode, which also walks the graph and panics on divergence.
+// The two snapshots must be identical.
+func TestComputeIncrementalMatchesVerify(t *testing.T) {
 	suite := ExtendedSuite()
-	a := NewAsync(suite, 3)
-	defer a.Close()
-
-	g := heapgraph.New()
-	var syncSnaps, asyncSnaps []Snapshot
+	inc, ver := heapgraph.New(), heapgraph.New()
+	ver.SetConnectivity(heapgraph.ConnectivityVerify, 0)
+	ver.SetSCC(heapgraph.ConnectivityVerify, 0)
 	next := heapgraph.VertexID(1)
-	for tick := uint64(1); tick <= 40; tick++ {
-		// Grow a few linked chains, occasionally closing cycles.
-		for i := 0; i < 5; i++ {
-			g.AddVertex(next)
-			if next > 1 {
-				g.AddEdge(next-1, next)
+	for tick := uint64(1); tick <= 60; tick++ {
+		for _, g := range []*heapgraph.Graph{inc, ver} {
+			id := next
+			for i := 0; i < 5; i++ {
+				g.AddVertex(id)
+				if id > 1 {
+					g.AddEdge(id-1, id)
+				}
+				id++
 			}
-			next++
+			if tick%7 == 0 {
+				g.AddEdge(id-1, id-4)
+			}
+			if tick%11 == 0 {
+				g.RemoveVertex(id - 2)
+			}
+			if tick%13 == 0 {
+				g.RemoveEdge(id-8, id-7)
+			}
 		}
-		if tick%7 == 0 {
-			g.AddEdge(next-1, next-4)
-		}
-		if tick%11 == 0 {
-			g.RemoveVertex(next - 2)
-		}
-		syncSnaps = append(syncSnaps, suite.Compute(g, tick))
-		snap, observed := a.Compute(g, tick)
-		if len(observed) != suite.Len() {
-			t.Fatalf("tick %d: observed width %d, want %d", tick, len(observed), suite.Len())
-		}
-		asyncSnaps = append(asyncSnaps, snap)
-	}
-	a.Wait()
-
-	for i := range syncSnaps {
-		w, g := syncSnaps[i], asyncSnaps[i]
-		if w.Tick != g.Tick || w.Vertices != g.Vertices || w.Edges != g.Edges {
-			t.Fatalf("snapshot %d metadata differs: %+v vs %+v", i, g, w)
+		next += 5
+		w, v := suite.Compute(inc, tick), suite.Compute(ver, tick)
+		if w.Vertices != v.Vertices || w.Edges != v.Edges {
+			t.Fatalf("tick %d: graph sizes differ: %+v vs %+v", tick, w, v)
 		}
 		for j := range w.Values {
-			if w.Values[j] != g.Values[j] {
-				t.Fatalf("snapshot %d metric %s: async %v, sync %v",
-					i, suite.IDs()[j], g.Values[j], w.Values[j])
+			if w.Values[j] != v.Values[j] {
+				t.Fatalf("tick %d metric %s: incremental %v, verify %v",
+					tick, suite.IDs()[j], w.Values[j], v.Values[j])
 			}
 		}
 	}
-
-	// Quiescent memo hit: with no mutation since the last completed
-	// job, Compute returns exact values immediately.
-	snap, observed := a.Compute(g, 41)
-	want := suite.Compute(g, 41)
-	for j := range want.Values {
-		if snap.Values[j] != want.Values[j] || observed[j] != want.Values[j] {
-			t.Fatalf("memo-hit metric %s: got %v/%v, want %v",
-				suite.IDs()[j], snap.Values[j], observed[j], want.Values[j])
-		}
-	}
-	a.Wait()
 }

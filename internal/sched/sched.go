@@ -52,18 +52,6 @@ func ParseParallel(n int) (int, error) {
 	return Workers(n), nil
 }
 
-// ParseMetricWorkers validates a -metric-workers flag value: 0 keeps
-// the expensive extension metrics inline at the metric computation
-// point, positive values run that many worker goroutines, and
-// negative values are an error (previously they were silently treated
-// as inline).
-func ParseMetricWorkers(n int) (int, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("sched: -metric-workers must be >= 0 (0 = inline), got %d", n)
-	}
-	return n, nil
-}
-
 // ParseDecodeWorkers validates a -decode-workers flag value and
 // resolves it to a trace.ReadOptions.DecodeWorkers setting: 0 selects
 // the machine default — all cores on a multi-core machine, the

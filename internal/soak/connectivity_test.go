@@ -12,10 +12,10 @@ import (
 // schedule with the extended suite in verify connectivity mode, at a
 // rebuild threshold of 1 (rebuild on every conservative delete) and 8
 // (amortized), over the two faults that stress the incremental
-// tracker hardest: frag-storm (detach-heavy churn) and
+// tracker hardest: frag-storm (split-heavy churn) and
 // aba-dangling-rewire (wild rewiring). Verify mode panics on the
-// first divergence between the incremental count and the snapshot
-// walk, so completing the schedule IS the differential result.
+// first divergence between the incremental count and the graph walk,
+// so completing the schedule IS the differential result.
 func TestSoakConnectivityVerify(t *testing.T) {
 	for _, th := range []int{1, 8} {
 		sb, err := Run(Options{
@@ -36,9 +36,9 @@ func TestSoakConnectivityVerify(t *testing.T) {
 }
 
 // TestSoakConnectivityScoreboardEquivalence runs the same seeded cells
-// under snapshot and incremental connectivity and requires
-// byte-identical scoreboards: the metric path must not change a single
-// verdict, latency or counter.
+// under incremental and verify connectivity and requires byte-identical
+// scoreboards: the oracle walk must not change a single verdict,
+// latency or counter.
 func TestSoakConnectivityScoreboardEquivalence(t *testing.T) {
 	run := func(mode heapgraph.ConnectivityMode) []byte {
 		sb, err := Run(Options{
@@ -57,10 +57,10 @@ func TestSoakConnectivityScoreboardEquivalence(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	snap := run(heapgraph.ConnectivitySnapshot)
 	inc := run(heapgraph.ConnectivityIncremental)
-	if !bytes.Equal(snap, inc) {
-		t.Fatalf("scoreboards differ between connectivity modes:\nsnapshot:    %s\nincremental: %s", snap, inc)
+	ver := run(heapgraph.ConnectivityVerify)
+	if !bytes.Equal(inc, ver) {
+		t.Fatalf("scoreboards differ between connectivity modes:\nincremental: %s\nverify:      %s", inc, ver)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestSoakConnectivityScoreboardEquivalence(t *testing.T) {
 // connectivity tracker: the frag-storm and aba-dangling-rewire cells
 // run the full warmup → fault → recovery schedule with the SCCs metric
 // in verify mode at rebuild thresholds 1 and 8. Every metric point
-// compares the incremental SCC count against the snapshot Tarjan walk
+// compares the incremental SCC count against the Tarjan walk
 // and panics on divergence, so a completed schedule is the
 // differential result.
 func TestSoakSCCVerify(t *testing.T) {
@@ -90,11 +90,11 @@ func TestSoakSCCVerify(t *testing.T) {
 	}
 }
 
-// TestSoakSCCScoreboardEquivalence requires that switching the SCCs
-// metric from the snapshot walk to the incremental tracker — with the
-// weak connectivity tracker incremental as well, the all-incremental
-// production configuration — changes nothing observable: byte-identical
-// scoreboards, down to every verdict, latency bucket and counter.
+// TestSoakSCCScoreboardEquivalence requires that verifying the SCCs
+// metric against the Tarjan walk — with the weak connectivity tracker
+// incremental, as in production — changes nothing observable:
+// byte-identical scoreboards, down to every verdict, latency bucket and
+// counter.
 func TestSoakSCCScoreboardEquivalence(t *testing.T) {
 	run := func(scc heapgraph.ConnectivityMode) []byte {
 		sb, err := Run(Options{
@@ -114,9 +114,9 @@ func TestSoakSCCScoreboardEquivalence(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	snap := run(heapgraph.ConnectivitySnapshot)
 	inc := run(heapgraph.ConnectivityIncremental)
-	if !bytes.Equal(snap, inc) {
-		t.Fatalf("scoreboards differ between scc modes:\nsnapshot:    %s\nincremental: %s", snap, inc)
+	ver := run(heapgraph.ConnectivityVerify)
+	if !bytes.Equal(inc, ver) {
+		t.Fatalf("scoreboards differ between scc modes:\nincremental: %s\nverify:      %s", inc, ver)
 	}
 }

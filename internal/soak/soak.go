@@ -80,16 +80,17 @@ type Options struct {
 	Thresholds model.Thresholds
 	// Extended soaks (and trains) with the extended metric suite —
 	// the degree metrics plus the WCC/SCC structure metrics. Required
-	// for the Connectivity setting to be observable: only the
-	// Components metric consults the connectivity path.
+	// for the Connectivity and SCC settings to be observable: only the
+	// structure metrics consult the trackers.
 	Extended bool
 	// Connectivity selects how the Components metric obtains the
 	// weak component count in every iteration's logger (and during
 	// training, so models and soak runs see the same path); see
-	// heapgraph.ConnectivityMode. Zero value is the snapshot walk.
+	// heapgraph.ConnectivityMode. Zero value is the incremental
+	// tracker.
 	Connectivity heapgraph.ConnectivityMode
 	// SCC selects the same for the SCCs metric's strong component
-	// count. Zero value is the snapshot walk.
+	// count. Zero value is the incremental tracker.
 	SCC heapgraph.ConnectivityMode
 	// RebuildThreshold is the incremental trackers' dirty budget
 	// between amortized rebuilds; 0 selects the default.

@@ -31,43 +31,38 @@ func runWithConnectivity(t *testing.T, w Workload, in Input, mode heapgraph.Conn
 	return rep
 }
 
-// TestConnectivityModesByteIdenticalReports is the PR's differential
-// acceptance test: every workload, run with the extended suite under
-// snapshot, incremental and verify connectivity, must produce
-// byte-identical reports. Verify mode additionally panics mid-run on
-// any divergence, so this doubles as an oracle sweep over all 13
-// workloads' allocation patterns.
+// TestConnectivityModesByteIdenticalReports is the weak-connectivity
+// differential sweep: every workload, run with the extended suite under
+// incremental and verify connectivity, must produce byte-identical
+// reports. Verify mode walks the graph at every metric point and
+// panics mid-run on any divergence from the tracker, so this is an
+// oracle sweep over all 13 workloads' allocation patterns.
 func TestConnectivityModesByteIdenticalReports(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			t.Parallel()
 			in := w.Inputs(1)[0]
-			base := runWithConnectivity(t, w, in, heapgraph.ConnectivitySnapshot, nil)
+			base := runWithConnectivity(t, w, in, heapgraph.ConnectivityIncremental, nil)
 			baseJSON, err := json.Marshal(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []heapgraph.ConnectivityMode{
-				heapgraph.ConnectivityIncremental,
-				heapgraph.ConnectivityVerify,
-			} {
-				rep := runWithConnectivity(t, w, in, mode, nil)
-				repJSON, err := json.Marshal(rep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(baseJSON, repJSON) {
-					t.Fatalf("%s report differs from snapshot mode:\nsnapshot:    %s\n%-11s: %s",
-						mode, baseJSON, mode, repJSON)
-				}
+			rep := runWithConnectivity(t, w, in, heapgraph.ConnectivityVerify, nil)
+			repJSON, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(baseJSON, repJSON) {
+				t.Fatalf("verify report differs from incremental mode:\nincremental: %s\nverify:      %s",
+					baseJSON, repJSON)
 			}
 		})
 	}
 }
 
 // TestConnectivityModesIdenticalFindings closes the loop through the
-// detector: a model trained on snapshot-mode reports must yield
+// detector: a model trained on incremental-mode reports must yield
 // identical findings when checking faulty runs executed under each
 // connectivity mode.
 func TestConnectivityModesIdenticalFindings(t *testing.T) {
@@ -84,18 +79,12 @@ func TestConnectivityModesIdenticalFindings(t *testing.T) {
 
 	in := w.Inputs(2)[1]
 	plan := func() *faults.Plan { return faults.NewPlan().EnableAlways(faults.TypoLeak) }
-	base := runWithConnectivity(t, w, in, heapgraph.ConnectivitySnapshot, plan())
+	base := runWithConnectivity(t, w, in, heapgraph.ConnectivityIncremental, plan())
 	baseFindings := detect.CheckReport(built.Model, base, detect.Options{})
-	for _, mode := range []heapgraph.ConnectivityMode{
-		heapgraph.ConnectivityIncremental,
-		heapgraph.ConnectivityVerify,
-	} {
-		rep := runWithConnectivity(t, w, in, mode, plan())
-		findings := detect.CheckReport(built.Model, rep, detect.Options{})
-		if !reflect.DeepEqual(baseFindings, findings) {
-			t.Fatalf("%s findings differ from snapshot mode:\nsnapshot: %v\n%s: %v",
-				mode, baseFindings, mode, findings)
-		}
+	rep := runWithConnectivity(t, w, in, heapgraph.ConnectivityVerify, plan())
+	if findings := detect.CheckReport(built.Model, rep, detect.Options{}); !reflect.DeepEqual(baseFindings, findings) {
+		t.Fatalf("verify findings differ from incremental mode:\nincremental: %v\nverify:      %v",
+			baseFindings, findings)
 	}
 }
 
@@ -118,56 +107,43 @@ func runWithModes(t *testing.T, w Workload, in Input, conn, scc heapgraph.Connec
 }
 
 // TestSCCModesByteIdenticalReports is the strong-connectivity
-// differential acceptance sweep: every workload, run with the extended
-// suite under snapshot, fully-incremental (both trackers) and
-// fully-verify modes, must produce byte-identical reports. The verify
-// legs panic mid-run on any divergence of either tracker, so this is
-// an oracle sweep of both incremental paths over all 13 workloads'
-// allocation patterns.
+// differential sweep: every workload, run with the extended suite
+// fully incremental (both trackers), fully verified, and with only the
+// SCCs metric verified, must produce byte-identical reports. The
+// verify legs panic mid-run on any divergence of a tracker from its
+// walk, so this is an oracle sweep of both incremental paths over all
+// 13 workloads' allocation patterns.
 func TestSCCModesByteIdenticalReports(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			t.Parallel()
 			in := w.Inputs(1)[0]
-			base := runWithModes(t, w, in, heapgraph.ConnectivitySnapshot, heapgraph.ConnectivitySnapshot, nil)
+			inc, ver := heapgraph.ConnectivityIncremental, heapgraph.ConnectivityVerify
+			base := runWithModes(t, w, in, inc, inc, nil)
 			baseJSON, err := json.Marshal(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []heapgraph.ConnectivityMode{
-				heapgraph.ConnectivityIncremental,
-				heapgraph.ConnectivityVerify,
-			} {
-				rep := runWithModes(t, w, in, mode, mode, nil)
+			for _, modes := range [][2]heapgraph.ConnectivityMode{{ver, ver}, {inc, ver}} {
+				rep := runWithModes(t, w, in, modes[0], modes[1], nil)
 				repJSON, err := json.Marshal(rep)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(baseJSON, repJSON) {
-					t.Fatalf("conn+scc %s report differs from snapshot mode:\nsnapshot:    %s\n%-11s: %s",
-						mode, baseJSON, mode, repJSON)
+					t.Fatalf("conn=%s scc=%s report differs from incremental mode:\nincremental: %s\ngot:         %s",
+						modes[0], modes[1], baseJSON, repJSON)
 				}
-			}
-			// SCC incremental alone (Components still snapshot) must
-			// also be invisible in the report.
-			rep := runWithModes(t, w, in, heapgraph.ConnectivitySnapshot, heapgraph.ConnectivityIncremental, nil)
-			repJSON, err := json.Marshal(rep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(baseJSON, repJSON) {
-				t.Fatalf("scc-only incremental report differs from snapshot mode:\nsnapshot: %s\ngot:      %s",
-					baseJSON, repJSON)
 			}
 		})
 	}
 }
 
 // TestSCCModesIdenticalFindings closes the loop through the detector
-// for the SCC tracker: a model trained on snapshot-mode reports must
+// for the SCC tracker: a model trained on incremental-mode reports must
 // yield identical findings when checking faulty runs executed with the
-// SCC metric incremental or verified.
+// SCC metric verified.
 func TestSCCModesIdenticalFindings(t *testing.T) {
 	w, _ := Get("webapp")
 	cfg := RunConfig{Logger: logger.Options{Suite: metrics.ExtendedSuite()}}
@@ -182,17 +158,12 @@ func TestSCCModesIdenticalFindings(t *testing.T) {
 
 	in := w.Inputs(2)[1]
 	plan := func() *faults.Plan { return faults.NewPlan().EnableAlways(faults.TypoLeak) }
-	base := runWithModes(t, w, in, heapgraph.ConnectivitySnapshot, heapgraph.ConnectivitySnapshot, plan())
+	inc := heapgraph.ConnectivityIncremental
+	base := runWithModes(t, w, in, inc, inc, plan())
 	baseFindings := detect.CheckReport(built.Model, base, detect.Options{})
-	for _, mode := range []heapgraph.ConnectivityMode{
-		heapgraph.ConnectivityIncremental,
-		heapgraph.ConnectivityVerify,
-	} {
-		rep := runWithModes(t, w, in, heapgraph.ConnectivityIncremental, mode, plan())
-		findings := detect.CheckReport(built.Model, rep, detect.Options{})
-		if !reflect.DeepEqual(baseFindings, findings) {
-			t.Fatalf("scc=%s findings differ from snapshot mode:\nsnapshot: %v\nscc=%s: %v",
-				mode, baseFindings, mode, findings)
-		}
+	rep := runWithModes(t, w, in, inc, heapgraph.ConnectivityVerify, plan())
+	if findings := detect.CheckReport(built.Model, rep, detect.Options{}); !reflect.DeepEqual(baseFindings, findings) {
+		t.Fatalf("scc=verify findings differ from incremental mode:\nincremental: %v\nverify:      %v",
+			baseFindings, findings)
 	}
 }

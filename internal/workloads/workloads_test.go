@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"heapmd/internal/metrics"
 	"heapmd/internal/model"
 	"heapmd/internal/prog"
+	"heapmd/internal/trace"
 )
 
 func TestRegistry(t *testing.T) {
@@ -77,6 +79,37 @@ func TestRunsAreDeterministic(t *testing.T) {
 			if r1.Snapshots[i].Values[j] != r2.Snapshots[i].Values[j] {
 				t.Fatalf("snapshot %d metric %d differs", i, j)
 			}
+		}
+	}
+}
+
+// TestRecordedTracesDeterministic records every program twice from
+// one input seed and requires byte-identical traces: a program whose
+// event order depends on Go map iteration would pass the report-level
+// determinism check above yet record a different stream each run.
+func TestRecordedTracesDeterministic(t *testing.T) {
+	record := func(w Workload, in Input) []byte {
+		var buf bytes.Buffer
+		_, _, err := RunLogged(w, in, RunConfig{
+			Record: func(_ Input, p *prog.Process) (func() error, error) {
+				tw, err := trace.NewWriterWith(&buf, trace.WriterOptions{Version: trace.VersionV3})
+				if err != nil {
+					return nil, err
+				}
+				tw.SetSymtab(p.Sym())
+				p.Subscribe(tw)
+				return func() error { return tw.Close(p.Sym()) }, nil
+			},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		return buf.Bytes()
+	}
+	for _, w := range All() {
+		in := w.Inputs(1)[0]
+		if a, b := record(w, in), record(w, in); !bytes.Equal(a, b) {
+			t.Errorf("%s: two recordings of input %s differ (%d vs %d bytes)", w.Name(), in.Name, len(a), len(b))
 		}
 	}
 }
