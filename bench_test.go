@@ -533,16 +533,16 @@ func BenchmarkReplayThroughput(b *testing.B) {
 			_, _, err := trace.Replay(bytes.NewReader(data), l)
 			return err
 		}},
-		{"batched-readahead", "v2", func(l *logger.Logger, data []byte) error {
-			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{ReadAhead: true})
+		{"batched-decode1", "v2", func(l *logger.Logger, data []byte) error {
+			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{DecodeWorkers: 1})
 			return err
 		}},
 		{"batched-v3", "v3", func(l *logger.Logger, data []byte) error {
 			_, _, err := trace.Replay(bytes.NewReader(data), l)
 			return err
 		}},
-		{"batched-readahead-v3", "v3", func(l *logger.Logger, data []byte) error {
-			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{ReadAhead: true})
+		{"batched-decode1-v3", "v3", func(l *logger.Logger, data []byte) error {
+			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{DecodeWorkers: 1})
 			return err
 		}},
 		{"batched-v3-flate", "v3-flate", func(l *logger.Logger, data []byte) error {

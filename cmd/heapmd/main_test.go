@@ -3,6 +3,9 @@ package main
 import (
 	"errors"
 	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -74,4 +77,82 @@ func TestMetricWorkersFlagGone(t *testing.T) {
 	if !errors.As(err, &uerr) || !strings.Contains(err.Error(), "metric-workers") {
 		t.Fatalf("cmdReplay(-metric-workers 2) = %v, want an undefined-flag usage error", err)
 	}
+}
+
+// TestIngestWorkersFlagGone: the speculative ingest stage is gone, so
+// -ingest-workers is an undefined flag (exit status 2) everywhere it
+// used to be accepted.
+func TestIngestWorkersFlagGone(t *testing.T) {
+	cmds := map[string]func([]string) error{
+		"soak": cmdSoak, "train": cmdTrain, "check": cmdCheck, "replay": cmdReplay,
+	}
+	for name, run := range cmds {
+		err := run([]string{"-ingest-workers", "2"})
+		var uerr usageError
+		if !errors.As(err, &uerr) || !strings.Contains(err.Error(), "ingest-workers") {
+			t.Errorf("%s -ingest-workers 2 = %v, want an undefined-flag usage error", name, err)
+		}
+	}
+}
+
+// TestReplayDecodeAliasesGone: -readahead and -pipelined were aliases
+// for -decode-workers settings; replay no longer accepts them.
+func TestReplayDecodeAliasesGone(t *testing.T) {
+	for _, args := range [][]string{{"-readahead"}, {"-readahead=false"}, {"-pipelined"}} {
+		err := cmdReplay(args)
+		var uerr usageError
+		name := strings.TrimPrefix(strings.SplitN(args[0], "=", 2)[0], "-")
+		if !errors.As(err, &uerr) || !strings.Contains(err.Error(), name) {
+			t.Errorf("replay %v = %v, want an undefined-flag usage error", args, err)
+		}
+	}
+}
+
+// TestReplayOutputHasNoIngestLine records traces with train, replays
+// them at several decode settings, and checks the per-trace summaries
+// are there and the old "ingest pipeline:" line is not.
+func TestReplayOutputHasNoIngestLine(t *testing.T) {
+	dir := t.TempDir()
+	traces := filepath.Join(dir, "tr")
+	if _, err := captureStdout(t, func() error {
+		return cmdTrain([]string{"-workload", "vortex", "-inputs", "2", "-parallel", "1",
+			"-record-traces", traces, "-o", filepath.Join(dir, "vortex.model")})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, dw := range []string{"0", "1", "2"} {
+		out, err := captureStdout(t, func() error {
+			return cmdReplay([]string{"-decode-workers", dw, "-trace", traces})
+		})
+		if err != nil {
+			t.Fatalf("-decode-workers %s: %v", dw, err)
+		}
+		if strings.Count(out, "replayed ") != 3 {
+			t.Errorf("-decode-workers %s: want two per-trace lines and a total:\n%s", dw, out)
+		}
+		if strings.Contains(out, "ingest pipeline:") {
+			t.Errorf("-decode-workers %s: output still has an ingest pipeline line:\n%s", dw, out)
+		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	ferr := fn()
+	w.Close()
+	return <-done, ferr
 }

@@ -11,7 +11,6 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -43,10 +42,7 @@ func cmdReplay(args []string) error {
 	tracePath := fs.String("trace", "", "trace file recorded with heapmd.RecordTrace, or a directory of traces")
 	modelPath := fs.String("model", "", "optional model file: check each replayed report against it")
 	salvage := fs.Bool("salvage", false, "recover the longest valid prefix of a damaged trace")
-	pipelined := fs.Bool("pipelined", false, "decode and apply the trace on separate goroutines (identical report, better throughput)")
 	decodeWorkersFlag := fs.Int("decode-workers", 0, "frame decode workers per trace: 0 = auto (all cores; synchronous on a single core), 1 = read-ahead, n = scanner + n-worker pipeline (identical report at any setting)")
-	ingestWorkersFlag := fs.Int("ingest-workers", 0, "ingest workers per trace: 0 = auto (serial on a single core), 1 = serial, n >= 2 = in-order mutator + n-1 speculative pre-resolvers (identical report at any setting)")
-	readAhead := fs.Bool("readahead", heapmd.DefaultReadAhead(), "deprecated alias for -decode-workers=1 (or 0 when false); ignored when -decode-workers is set")
 	extended := fs.Bool("extended", false, "compute the extended metric suite (adds WCC/SCC structure metrics)")
 	connFlags := addConnectivityFlags(fs)
 	freq := fs.Uint64("freq", 0, "sampling frequency; must match the recording (0 = simulation default)")
@@ -100,29 +96,6 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	ingestWorkers, err := sched.ParseIngestWorkers(*ingestWorkersFlag)
-	if err != nil {
-		return err
-	}
-	// -readahead is a deprecation alias: honored only when the user set
-	// it explicitly and left -decode-workers at its default.
-	var readAheadSet, decodeWorkersSet bool
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "readahead":
-			readAheadSet = true
-		case "decode-workers":
-			decodeWorkersSet = true
-		}
-	})
-	if readAheadSet && !decodeWorkersSet {
-		fmt.Fprintln(os.Stderr, "replay: -readahead is deprecated; use -decode-workers (1 = read-ahead, 0 = auto)")
-		if *readAhead {
-			decodeWorkers = 1
-		} else {
-			decodeWorkers = -1 // explicit -readahead=false: force synchronous
-		}
-	}
 	var suite metrics.Suite
 	if *extended {
 		suite = metrics.ExtendedSuite()
@@ -131,9 +104,7 @@ func cmdReplay(args []string) error {
 		opts: heapmd.ReplayOptions{
 			Frequency:     *freq,
 			Salvage:       *salvage,
-			Pipelined:     *pipelined,
 			DecodeWorkers: decodeWorkers,
-			IngestWorkers: ingestWorkers,
 			Suite:         suite,
 			Connectivity:  conn,
 			SCC:           sccMode,
@@ -310,14 +281,6 @@ func replayOne(path string, cfg replayConfig) (*replayOut, error) {
 		// worker skew is gating in-order delivery.
 		fmt.Fprintf(&b, "decode pipeline: %d workers, %d scanner stalls, %d resequencer stalls\n",
 			st.DecodeWorkers, st.ScannerStalls, st.ResequencerStalls)
-	}
-	if st.IngestWorkers >= 2 {
-		// Hits vs fallbacks measure how often speculation paid off;
-		// pre-resolve stalls mean resolvers kept catching the table
-		// mid-mutation, mutator stalls mean resolution (or the decode
-		// stage feeding it) is the bottleneck.
-		fmt.Fprintf(&b, "ingest pipeline: %d workers, %d speculation hits, %d fallbacks, %d pre-resolve stalls, %d mutator stalls\n",
-			st.IngestWorkers, st.SpeculationHits, st.SpeculationFallbacks, st.PreResolveStalls, st.MutatorStalls)
 	}
 	if info.Salvaged() {
 		fmt.Fprintf(&b, "salvage: %s\n", info)

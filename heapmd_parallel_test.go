@@ -75,9 +75,10 @@ func TestTrainManyFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestReplayReadAheadFacade checks the ReadAhead replay option
-// reconstructs the same report as the synchronous reader.
-func TestReplayReadAheadFacade(t *testing.T) {
+// TestReplaySingleDecodeWorkerFacade checks that read-ahead replay
+// (DecodeWorkers: 1) reconstructs the same report as the synchronous
+// reader.
+func TestReplaySingleDecodeWorkerFacade(t *testing.T) {
 	sess := NewSession(Options{Frequency: 4})
 	run := sess.NewRun("listprog", "traced", 7)
 	var buf bytes.Buffer
@@ -95,7 +96,7 @@ func TestReplayReadAheadFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raRep, _, _, err := ReplayTraceWith(bytes.NewReader(data), "listprog", "traced", ReplayOptions{Frequency: 4, ReadAhead: true})
+	raRep, _, _, err := ReplayTraceWith(bytes.NewReader(data), "listprog", "traced", ReplayOptions{Frequency: 4, DecodeWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

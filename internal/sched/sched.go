@@ -56,9 +56,8 @@ func ParseParallel(n int) (int, error) {
 // resolves it to a trace.ReadOptions.DecodeWorkers setting: 0 selects
 // the machine default — all cores on a multi-core machine, the
 // synchronous decoder on a single core, where extra goroutines only
-// add handoff cost (the old always-on -readahead default was a
-// measured regression there). Positive values are exact: 1 is the
-// fused read-ahead pipeline, n ≥ 2 a scanner plus n decode workers.
+// add handoff cost. Positive values are exact: 1 is the fused
+// read-ahead pipeline, n ≥ 2 a scanner plus n decode workers.
 // Negative values are an error.
 func ParseDecodeWorkers(n int) (int, error) {
 	if n < 0 {
@@ -73,29 +72,14 @@ func ParseDecodeWorkers(n int) (int, error) {
 	return n, nil
 }
 
-// ParseIngestWorkers validates an -ingest-workers flag value and
-// resolves it to a total ingest worker count: 0 selects the machine
-// default — the serial in-order path on a single core (where a
-// speculation pipeline only adds handoff cost), otherwise one mutator
-// plus up to three pre-resolvers, capped at GOMAXPROCS (pre-resolution
-// is ~40% of store cost, so resolver parallelism beyond a few workers
-// only burns cores re-reading the same pages). Positive values are
-// exact: 1 is the serial path, n >= 2 a mutator plus n-1 resolvers.
-// Negative values are an error.
+// ParseIngestWorkers returns 1 for any n >= 0 and an error for n < 0.
+//
+// Deprecated: ignored; kept so perfbench compiles — remove in the next benchmark PR
 func ParseIngestWorkers(n int) (int, error) {
 	if n < 0 {
-		return 0, fmt.Errorf("sched: -ingest-workers must be >= 0 (0 = auto), got %d", n)
+		return 0, fmt.Errorf("sched: -ingest-workers must be >= 0, got %d", n)
 	}
-	if n == 0 {
-		if p := runtime.GOMAXPROCS(0); p > 1 {
-			if p > 4 {
-				p = 4
-			}
-			return p, nil
-		}
-		return 1, nil
-	}
-	return n, nil
+	return 1, nil
 }
 
 // ParseEncodeWorkers validates a -trace-workers flag value: 0 encodes

@@ -203,32 +203,3 @@ func TestParseEncodeWorkers(t *testing.T) {
 		t.Fatal("ParseEncodeWorkers(-1) did not error")
 	}
 }
-
-// TestParseIngestWorkers pins the -ingest-workers semantics: 0 = auto
-// (serial on one core, else a mutator plus up to three resolvers
-// capped at GOMAXPROCS), positive = exact, negative = error.
-func TestParseIngestWorkers(t *testing.T) {
-	got, err := ParseIngestWorkers(0)
-	if err != nil {
-		t.Fatalf("ParseIngestWorkers(0): %v", err)
-	}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		want := p
-		if want > 4 {
-			want = 4
-		}
-		if got != want {
-			t.Fatalf("ParseIngestWorkers(0) = %d, want %d on %d cores", got, want, p)
-		}
-	} else if got != 1 {
-		t.Fatalf("ParseIngestWorkers(0) = %d, want 1 (serial on a single core)", got)
-	}
-	for _, n := range []int{1, 2, 7} {
-		if got, err := ParseIngestWorkers(n); err != nil || got != n {
-			t.Fatalf("ParseIngestWorkers(%d) = %d, %v", n, got, err)
-		}
-	}
-	if _, err := ParseIngestWorkers(-1); err == nil {
-		t.Fatal("ParseIngestWorkers(-1) did not error")
-	}
-}

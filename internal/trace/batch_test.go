@@ -69,11 +69,12 @@ func TestBatchSinkEquivalence(t *testing.T) {
 	}
 }
 
-// TestReadAheadEquivalence checks that the read-ahead decoder produces
-// outcomes identical to the synchronous reader — same events, same
-// counts, same errors in strict mode, same SalvageInfo in salvage mode
-// — on a clean trace, on every possible truncation, and on a bit flip.
-func TestReadAheadEquivalence(t *testing.T) {
+// TestSingleDecodeWorkerEquivalence checks that the read-ahead
+// decoder (DecodeWorkers: 1) produces outcomes identical to the
+// synchronous reader — same events, same counts, same errors in strict
+// mode, same SalvageInfo in salvage mode — on a clean trace, on every
+// possible truncation, and on a bit flip.
+func TestSingleDecodeWorkerEquivalence(t *testing.T) {
 	sym := event.NewSymtab()
 	sym.Intern("alpha")
 	evs := testEvents(4 * DefaultBatchRecords)
@@ -90,7 +91,7 @@ func TestReadAheadEquivalence(t *testing.T) {
 	for vi, data := range variants {
 		var syncEvents, raEvents []event.Event
 		syncSym, syncN, syncErr := ReplayWith(bytes.NewReader(data), collectSink(&syncEvents), ReadOptions{})
-		raSym, raN, raErr := ReplayWith(bytes.NewReader(data), collectSink(&raEvents), ReadOptions{ReadAhead: true})
+		raSym, raN, raErr := ReplayWith(bytes.NewReader(data), collectSink(&raEvents), ReadOptions{DecodeWorkers: 1})
 		if (syncErr == nil) != (raErr == nil) ||
 			(syncErr != nil && syncErr.Error() != raErr.Error()) {
 			t.Fatalf("variant %d strict: sync err %v, readahead err %v", vi, syncErr, raErr)
@@ -110,7 +111,7 @@ func TestReadAheadEquivalence(t *testing.T) {
 
 		var syncSalv, raSalv []event.Event
 		_, syncInfo, syncErr2 := SalvageWith(bytes.NewReader(data), collectSink(&syncSalv), ReadOptions{})
-		_, raInfo, raErr2 := SalvageWith(bytes.NewReader(data), collectSink(&raSalv), ReadOptions{ReadAhead: true})
+		_, raInfo, raErr2 := SalvageWith(bytes.NewReader(data), collectSink(&raSalv), ReadOptions{DecodeWorkers: 1})
 		if syncErr2 != nil || raErr2 != nil {
 			t.Fatalf("variant %d salvage: errs %v, %v", vi, syncErr2, raErr2)
 		}
@@ -181,7 +182,7 @@ func TestReplayFrameDecodeAllocs(t *testing.T) {
 			// The read-ahead path blocks on channels, and the runtime may
 			// allocate a sudog per park; allow a few allocs of noise but
 			// nothing near one per frame (126 extra frames).
-			{"readahead", ReadOptions{ReadAhead: true}, 8},
+			{"readahead", ReadOptions{DecodeWorkers: 1}, 8},
 			// The decode pipeline allocates its channels, ring, and
 			// per-worker decoder state once per replay — O(workers), not
 			// O(frames). Parking on channels adds runtime noise.
