@@ -511,7 +511,10 @@ func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions
 		sym, n, err = trace.ReplayWith(rd, l, ropts)
 		info = &SalvageInfo{EventsRecovered: n}
 	}
+	// The logger never escapes: the decoder is done with the sink once
+	// replay returns, and the report owns its snapshots.
 	if err != nil {
+		l.Release()
 		return nil, nil, nil, err
 	}
 	if info.Salvaged() {
@@ -519,7 +522,9 @@ func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions
 		h.SalvagedGaps++
 		h.SalvagedBytes += info.BytesDropped
 	}
-	return l.Report(), sym, info, nil
+	rep := l.Report()
+	l.Release()
+	return rep, sym, info, nil
 }
 
 // NewFaultPlan returns an empty fault-injection plan; see package

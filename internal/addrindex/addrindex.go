@@ -1,5 +1,5 @@
 // Package addrindex provides the execution logger's O(1) address
-// resolution structure: a page-indexed object table in the style of
+// resolution structure: a line-indexed object table in the style of
 // tcmalloc's pagemap and the Go runtime's span index.
 //
 // The logger resolves two addresses per observed pointer store (the
@@ -8,24 +8,33 @@
 // same queries in O(log n) pointer-chasing steps through GC-scanned
 // nodes; this table answers them with a couple of array indexes:
 //
-//	addr ──▶ chunk directory ──▶ page ref list ──▶ object record
+//	addr ──▶ chunk directory ──▶ line ref list ──▶ object record
 //	         (hash, cached)      (array index)     (arena slot)
 //
-// Layout. The address space is cut into 4 KiB pages and pages are
-// grouped into 512-page (2 MiB) chunks. A chunk holds, per page, the
-// list of object records whose [base, base+size) range intersects that
-// page, sorted by base. Object records themselves live in a flat arena
-// slice with freelist recycling, so steady-state alloc/free traffic
-// performs no heap allocation at all. Two single-entry caches make the
-// common cases pure array work: a last-hit cache (store bursts into
-// one object resolve with one comparison) and a last-chunk cache
-// (locality across objects skips the chunk directory hash).
+// Layout. The address space is cut into 128-byte lines (the pagemap's
+// "pages"; PageShift = 7) and lines are grouped into 512-line (64 KiB)
+// chunks. A chunk holds, per line, the list of object records whose
+// [base, base+size) range intersects that line, sorted by base. The
+// line is small on purpose: heap objects are mostly 16–48 bytes, and a
+// 4 KiB page's list held over a hundred of them, so every uncached
+// stab paid a long binary search and every insert or remove a long
+// copy; a 128-byte line's list holds a handful. Object records
+// themselves live in a flat arena slice with freelist recycling, so
+// steady-state alloc/free traffic performs no heap allocation at all.
+// Two small caches make the common cases pure array work: a last-hit
+// cache (store bursts into one object resolve with one comparison) and
+// a last-chunk cache (locality across objects skips the chunk
+// directory hash).
 //
-// Objects spanning more than maxSpanPages pages would make per-page
-// registration arbitrarily expensive (a malformed trace can claim a
-// 2^63-byte allocation), so such ranges go to a small linear side
-// list instead — semantics are identical, and well-formed workloads
-// never hit it.
+// Objects spanning more than maxSpanPages lines (8 MiB) would make
+// per-line registration arbitrarily expensive (a malformed trace can
+// claim a 2^63-byte allocation), so such ranges go to a small linear
+// side list instead — semantics are identical, and well-formed
+// workloads never hit it.
+//
+// A table is reusable: Reset empties it but keeps its arena, chunk
+// directory and ref-list capacity (up to a cap), so a logger replaying
+// trace after trace stops re-growing them from zero.
 //
 // Semantics match intervals.Map exactly (the treap remains the test
 // oracle): ranges are half-open, interior addresses resolve to their
@@ -36,17 +45,26 @@ package addrindex
 import "sort"
 
 const (
-	// PageShift selects the 4 KiB page granularity of the index.
-	PageShift = 12
+	// PageShift selects the 128-byte line granularity of the index.
+	PageShift = 7
 	pageSize  = 1 << PageShift
 
-	// chunkShift groups 512 pages (2 MiB of address space) per chunk.
+	// chunkShift groups 512 lines (64 KiB of address space) per chunk.
 	chunkShift = 9
 	chunkPages = 1 << chunkShift
 
-	// maxSpanPages bounds per-page registration work for one object;
+	// maxSpanPages bounds per-line registration work for one object;
 	// larger ranges are kept in the linear huge list.
-	maxSpanPages = 1 << 16 // 256 MiB
+	maxSpanPages = 1 << 16 // 8 MiB
+
+	// Reset keeps at most this many chunks (12 KiB of ref-list headers
+	// each, 16 MiB of address space in all) and this many arena
+	// entries; a table that grew past either bound — a damaged trace
+	// scattering wild addresses, an outsized heap — drops that storage
+	// instead of pinning it for the next user. The bundled programs'
+	// heaps fit in two chunks and 2,000 entries.
+	maxRetainedChunks = 1 << 8
+	maxRetainedArena  = 1 << 15
 
 	noEntry = int32(-1)
 )
@@ -59,10 +77,10 @@ type entry[V any] struct {
 	live  bool
 }
 
-// chunk holds the per-page object ref lists for one 2 MiB address
+// chunk holds the per-line object ref lists for one 64 KiB address
 // range. refs[i] lists arena indices of every live object whose range
-// intersects page i, sorted by base. Most pages hold a handful of
-// objects, so the lists stay in the small-slice regime.
+// intersects line i, sorted by base. A line holds a handful of objects
+// at most, so the lists stay in the small-slice regime.
 type chunk struct {
 	refs [chunkPages][]int32
 }
@@ -92,10 +110,36 @@ func New[V any]() *Table[V] {
 	return &Table[V]{chunks: make(map[uint64]*chunk), lastHits: [2]int32{noEntry, noEntry}}
 }
 
+// Reset empties the table. A reset table behaves exactly like a new
+// one (arena indices are handed out from zero again) but keeps its
+// arena, freelist, chunk directory and ref-list capacity for reuse,
+// unless it grew past maxRetainedChunks or maxRetainedArena.
+func (t *Table[V]) Reset() {
+	if len(t.chunks) > maxRetainedChunks {
+		t.chunks = make(map[uint64]*chunk)
+	} else {
+		for _, c := range t.chunks {
+			for i := range c.refs {
+				c.refs[i] = c.refs[i][:0]
+			}
+		}
+	}
+	if cap(t.arena) > maxRetainedArena {
+		t.arena, t.free = nil, nil
+	} else {
+		clear(t.arena) // release the values' references
+		t.arena, t.free = t.arena[:0], t.free[:0]
+	}
+	t.huge = t.huge[:0]
+	t.n = 0
+	t.lastHits = [2]int32{noEntry, noEntry}
+	t.lastChunk, t.lastKey = nil, 0
+}
+
 // Len returns the number of live ranges.
 func (t *Table[V]) Len() int { return t.n }
 
-// chunkFor returns the chunk covering page, creating it if needed.
+// chunkFor returns the chunk covering line page, creating it if needed.
 func (t *Table[V]) chunkFor(page uint64) *chunk {
 	key := page >> chunkShift
 	if t.lastChunk != nil && t.lastKey == key {
@@ -110,7 +154,7 @@ func (t *Table[V]) chunkFor(page uint64) *chunk {
 	return c
 }
 
-// lookupChunk returns the chunk covering page without creating it.
+// lookupChunk returns the chunk covering line page without creating it.
 func (t *Table[V]) lookupChunk(page uint64) *chunk {
 	key := page >> chunkShift
 	if t.lastChunk != nil && t.lastKey == key {
@@ -123,11 +167,11 @@ func (t *Table[V]) lookupChunk(page uint64) *chunk {
 	return c
 }
 
-// pageRange returns the inclusive page span of [base, base+size),
+// pageRange returns the inclusive line span of [base, base+size),
 // clamping the degenerate and wrapping cases: a zero-size range
-// occupies only its base page (for Get/Remove reachability), and a
+// occupies only its base line (for Get/Remove reachability), and a
 // range whose end wraps past the top of the address space is clamped
-// to the last page.
+// to the last line.
 func pageRange(base, size uint64) (first, last uint64) {
 	first = base >> PageShift
 	if size == 0 {
@@ -140,7 +184,13 @@ func pageRange(base, size uint64) (first, last uint64) {
 	return first, end >> PageShift
 }
 
-// insertRef adds arena index i into the sorted ref list of one page.
+// isHuge reports whether a range spanning lines first..last of the
+// given size belongs on the huge list.
+func isHuge(first, last, size uint64) bool {
+	return size > 0 && last-first+1 > maxSpanPages
+}
+
+// insertRef adds arena index i into the sorted ref list of one line.
 func (t *Table[V]) insertRef(refs []int32, i int32, base uint64) []int32 {
 	pos := sort.Search(len(refs), func(k int) bool {
 		return t.arena[refs[k]].base >= base
@@ -151,7 +201,7 @@ func (t *Table[V]) insertRef(refs []int32, i int32, base uint64) []int32 {
 	return refs
 }
 
-// removeRef deletes arena index i from one page's ref list.
+// removeRef deletes arena index i from one line's ref list.
 func removeRef(refs []int32, i int32) []int32 {
 	for k, r := range refs {
 		if r == i {
@@ -178,7 +228,7 @@ func (t *Table[V]) Insert(base, size uint64, value V) *V {
 		t.arena = append(t.arena, entry[V]{base: base, size: size, value: value, live: true})
 	}
 	first, last := pageRange(base, size)
-	if size > 0 && last-first+1 > maxSpanPages {
+	if isHuge(first, last, size) {
 		t.huge = append(t.huge, i)
 	} else {
 		for p := first; ; p++ {
@@ -245,7 +295,7 @@ func (t *Table[V]) Remove(base uint64) (V, bool) {
 	}
 	e := &t.arena[i]
 	first, last := pageRange(e.base, e.size)
-	if e.size > 0 && last-first+1 > maxSpanPages {
+	if isHuge(first, last, e.size) {
 		t.huge = removeRef(t.huge, i)
 	} else {
 		for p := first; ; p++ {
@@ -310,7 +360,7 @@ func (t *Table[V]) Stab(addr uint64) (base, size uint64, value *V, ok bool) {
 		// The candidate is the entry with the largest base <= addr.
 		// Walking back over non-containing predecessors (instead of
 		// testing only the immediate one) makes zero-size entries
-		// transparent — they are registered on their base page for
+		// transparent — they are registered on their base line for
 		// Get/Remove but always fail the containment check — and keeps
 		// the search robust when a damaged trace registers
 		// overlapping ranges. The binary search (first base > addr) is

@@ -64,10 +64,13 @@ func TestStabEdgeCases(t *testing.T) {
 		wantBase uint64
 		wantOK   bool
 	}
+	const line = uint64(pageSize)
+	const far = uint64(1) << 40 // line- and chunk-aligned
 	cases := []struct {
-		name   string
-		ranges []rng
-		probes []probe
+		name     string
+		ranges   []rng
+		probes   []probe
+		wantHuge int // ranges expected on the huge side list
 	}{
 		{
 			name:   "half-open end",
@@ -120,6 +123,70 @@ func TestStabEdgeCases(t *testing.T) {
 				{addr: 0, wantOK: false},
 			},
 		},
+		{
+			name:   "range straddling a line boundary",
+			ranges: []rng{{base: 3*line - 8, size: 16, val: 1}, {base: 3*line + 8, size: 8, val: 2}},
+			probes: []probe{
+				{addr: 3*line - 9, wantOK: false},
+				{addr: 3*line - 8, wantBase: 3*line - 8, wantOK: true},
+				{addr: 3*line - 1, wantBase: 3*line - 8, wantOK: true},
+				{addr: 3 * line, wantBase: 3*line - 8, wantOK: true},
+				{addr: 3*line + 7, wantBase: 3*line - 8, wantOK: true},
+				{addr: 3*line + 8, wantBase: 3*line + 8, wantOK: true},
+				{addr: 3*line + 16, wantOK: false},
+			},
+		},
+		{
+			name:   "range exactly one line wide",
+			ranges: []rng{{base: 2 * line, size: line, val: 1}},
+			probes: []probe{
+				{addr: 2*line - 1, wantOK: false},
+				{addr: 2 * line, wantBase: 2 * line, wantOK: true},
+				{addr: 3*line - 1, wantBase: 2 * line, wantOK: true},
+				{addr: 3 * line, wantOK: false},
+			},
+		},
+		{
+			name: "zero-size range at a line boundary",
+			ranges: []rng{
+				{base: 4*line - 64, size: 128, val: 1},
+				{base: 4 * line, size: 0, val: 2},
+				{base: 6 * line, size: 0, val: 3},
+			},
+			probes: []probe{
+				{addr: 4*line - 1, wantBase: 4*line - 64, wantOK: true},
+				{addr: 4 * line, wantBase: 4*line - 64, wantOK: true},
+				{addr: 4*line + 63, wantBase: 4*line - 64, wantOK: true},
+				{addr: 4*line + 64, wantOK: false},
+				{addr: 6 * line, wantOK: false},
+				{addr: 6*line - 1, wantOK: false},
+			},
+		},
+		{
+			name:   "range exactly maxSpanPages lines wide",
+			ranges: []rng{{base: far, size: maxSpanPages * line, val: 1}},
+			probes: []probe{
+				{addr: far, wantBase: far, wantOK: true},
+				{addr: far + maxSpanPages*line - 1, wantBase: far, wantOK: true},
+				{addr: far + maxSpanPages*line, wantOK: false},
+			},
+		},
+		{
+			name: "range one line over maxSpanPages",
+			ranges: []rng{
+				{base: far, size: (maxSpanPages + 1) * line, val: 1},
+				{base: far - 8, size: 8, val: 2},
+				{base: far + (maxSpanPages+1)*line, size: 8, val: 3},
+			},
+			probes: []probe{
+				{addr: far - 1, wantBase: far - 8, wantOK: true},
+				{addr: far, wantBase: far, wantOK: true},
+				{addr: far + maxSpanPages*line, wantBase: far, wantOK: true},
+				{addr: far + (maxSpanPages+1)*line - 1, wantBase: far, wantOK: true},
+				{addr: far + (maxSpanPages+1)*line, wantBase: far + (maxSpanPages+1)*line, wantOK: true},
+			},
+			wantHuge: 1,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,6 +205,9 @@ func TestStabEdgeCases(t *testing.T) {
 				if v := tb.Get(r.base); v == nil || *v != r.val {
 					t.Errorf("Get(%#x) = %v, want %d", r.base, v, r.val)
 				}
+			}
+			if len(tb.huge) != tc.wantHuge {
+				t.Errorf("%d ranges on the huge list, want %d", len(tb.huge), tc.wantHuge)
 			}
 		})
 	}
@@ -166,15 +236,15 @@ func TestLastHitCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestMultiPageObjects: ranges spanning page and chunk boundaries must
-// resolve from any interior page.
+// TestMultiPageObjects: ranges spanning line and chunk boundaries must
+// resolve from any interior line.
 func TestMultiPageObjects(t *testing.T) {
 	tb := New[int]()
 	const base = uint64(0x100_0000_0000)
-	const size = uint64(5 * pageSize)        // five pages
-	tb.Insert(base-64, 64, 7)                // neighbour before
-	tb.Insert(base, size, 1)                 // the spanning object
-	tb.Insert(base+size, 128, 9)             // neighbour after
+	const size = uint64(5 * pageSize)                               // five lines
+	tb.Insert(base-64, 64, 7)                                       // neighbour before
+	tb.Insert(base, size, 1)                                        // the spanning object
+	tb.Insert(base+size, 128, 9)                                    // neighbour after
 	tb.Insert(base+7*chunkPages*pageSize, 3*chunkPages*pageSize, 2) // spans 3 chunks
 
 	probes := []struct {
@@ -294,7 +364,9 @@ func TestWalkOrdered(t *testing.T) {
 }
 
 // TestArenaRecycling: steady-state free/alloc traffic must reuse arena
-// slots instead of growing the arena.
+// slots instead of growing the arena, and a Reset table must refill
+// the same arena indices and ref lists without allocating — unless it
+// grew past the retention cap, in which case Reset drops the storage.
 func TestArenaRecycling(t *testing.T) {
 	tb := New[int]()
 	for i := 0; i < 64; i++ {
@@ -311,5 +383,33 @@ func TestArenaRecycling(t *testing.T) {
 	}
 	if tb.Len() != 64 {
 		t.Fatalf("Len = %d, want 64", tb.Len())
+	}
+
+	refill := func() {
+		tb.Reset()
+		for i := 0; i < 64; i++ {
+			tb.Insert(uint64(4096+i*64), 64, i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, refill); allocs != 0 {
+		t.Fatalf("refilling a Reset table allocated %.0f times", allocs)
+	}
+	if len(tb.arena) != 64 || tb.Len() != 64 {
+		t.Fatalf("after Reset and refill: arena %d, Len %d, want 64", len(tb.arena), tb.Len())
+	}
+	if _, _, v, ok := tb.Stab(4096 + 5*64 + 3); !ok || *v != 5 {
+		t.Fatalf("Stab after Reset = (%v,%v), want 5", v, ok)
+	}
+
+	// Wild addresses scattered over more chunks than Reset retains.
+	for i := uint64(0); i <= maxRetainedChunks; i++ {
+		tb.Insert(1<<40+i*chunkPages*pageSize, 8, int(i))
+	}
+	tb.Reset()
+	if len(tb.chunks) != 0 || tb.Len() != 0 {
+		t.Fatalf("Reset kept %d chunks (cap %d), Len %d", len(tb.chunks), maxRetainedChunks, tb.Len())
+	}
+	if _, _, _, ok := tb.Stab(1 << 40); ok {
+		t.Fatal("Stab hit a range inserted before Reset")
 	}
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // TestOracleAgainstIntervals drives identical randomized operation
-// sequences through the pagemap table and the treap it replaces,
+// sequences through the line-indexed table and the treap it replaces,
 // comparing every query result. The treap is the semantic oracle: any
-// divergence in Stab, Get, Remove or Len is a bug in the pagemap.
+// divergence in Stab, Get, Remove or Len is a bug in the table. Halfway
+// through, the table is Reset and the run continues against a fresh
+// treap: a reset table must behave exactly like a new one.
 func TestOracleAgainstIntervals(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		seed := seed
@@ -20,24 +22,50 @@ func TestOracleAgainstIntervals(t *testing.T) {
 			or := intervals.New[int]()
 			live := make(map[uint64]uint64) // base -> size
 
-			// Address pool mixing tight same-page clusters, page-
-			// spanning objects and far-apart chunks.
+			// Address pool mixing tight same-line clusters, line-
+			// and chunk-spanning objects and far-apart chunks; one
+			// base in 16 is line-aligned.
 			randBase := func() uint64 {
 				region := uint64(rng.Intn(4)+1) << 32
 				return region + uint64(rng.Intn(1<<16))*8
 			}
 			randSize := func() uint64 {
-				switch rng.Intn(10) {
+				switch rng.Intn(12) {
 				case 0:
 					return 0 // degenerate
-				case 1, 2:
-					return uint64(rng.Intn(4*pageSize) + 1) // page-spanning
+				case 1:
+					return pageSize // exactly one line
+				case 2, 3:
+					return uint64(rng.Intn(4*pageSize) + 1) // line-spanning
+				case 4:
+					return uint64(rng.Intn(64*pageSize) + 1) // many lines
 				default:
-					return uint64(rng.Intn(256) + 8) // typical object
+					return uint64(rng.Intn(56) + 8) // typical object
 				}
 			}
+			// Two ranges at the huge-list threshold, in a region of
+			// their own: exactly maxSpanPages lines (registered per
+			// line) and one line more (on the huge list).
+			spans := func() {
+				for i, lines := range []uint64{maxSpanPages, maxSpanPages + 1} {
+					base, size := uint64(5+i)<<32, lines*pageSize
+					tb.Insert(base, size, -1-i)
+					or.Insert(base, size, -1-i)
+					live[base] = size
+				}
+			}
+			spans()
 
 			for step := 0; step < 20000; step++ {
+				if step == 10000 {
+					tb.Reset()
+					or = intervals.New[int]()
+					clear(live)
+					if tb.Len() != 0 {
+						t.Fatalf("seed %d: Len %d after Reset", seed, tb.Len())
+					}
+					spans()
+				}
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3: // insert
 					base := randBase()

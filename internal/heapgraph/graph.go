@@ -115,6 +115,46 @@ func New() *Graph {
 	return &Graph{}
 }
 
+// maxRetainedSlots bounds the vertex arena (~300 bytes a slot), and
+// maxRetainedIDs the dense ID index (4 bytes an ID), that Reset keeps
+// for reuse; a graph that grew past either drops that storage instead
+// of pinning it. The bundled programs peak below 3,000 slots.
+const (
+	maxRetainedSlots = 1 << 14
+	maxRetainedIDs   = 1 << 20
+)
+
+// Reset empties the graph. A reset graph behaves exactly like a new
+// one — same slot numbering, zeroed histograms and counters, no
+// connectivity trackers (SetConnectivity and SetSCC start fresh ones)
+// — but keeps the vertex arena and ID index capacity for reuse, unless
+// they grew past maxRetainedSlots or maxRetainedIDs. Writer goroutine
+// only.
+func (g *Graph) Reset() {
+	if cap(g.ids) > maxRetainedSlots {
+		g.ids, g.inDeg, g.outDeg, g.outAdj, g.inAdj, g.alive, g.freeSlots = nil, nil, nil, nil, nil, nil, nil
+	} else {
+		clear(g.outAdj) // drop spill maps, so they become collectable
+		clear(g.inAdj)
+		g.ids, g.inDeg, g.outDeg = g.ids[:0], g.inDeg[:0], g.outDeg[:0]
+		g.outAdj, g.inAdj, g.alive = g.outAdj[:0], g.inAdj[:0], g.alive[:0]
+		g.freeSlots = g.freeSlots[:0]
+	}
+	if cap(g.dense) > maxRetainedIDs {
+		g.dense = nil
+	} else {
+		g.dense = g.dense[:0] // setSlot zeroes whatever it regrows into
+	}
+	g.sparse = nil
+	g.counts.reset()
+	g.nVerts.Store(0)
+	g.edges.Store(0)
+	g.gen.Store(0)
+	g.wccCache, g.sccCache = componentCache{}, componentCache{}
+	g.connMode, g.wcc = 0, nil
+	g.sccMode, g.scc = 0, nil
+}
+
 // slotOf returns v's arena slot, or noSlot.
 func (g *Graph) slotOf(v VertexID) int32 {
 	if uint64(v) < uint64(len(g.dense)) {

@@ -1,6 +1,7 @@
 package heapgraph
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -288,26 +289,95 @@ type mutation struct {
 	U, V uint8
 }
 
+// apply performs one encoded mutation on g over a 32-vertex ID space.
+func (m mutation) apply(g *Graph) {
+	u, v := VertexID(m.U%32), VertexID(m.V%32)
+	switch m.Op % 4 {
+	case 0:
+		g.AddVertex(u)
+	case 1:
+		g.RemoveVertex(u)
+	case 2:
+		g.AddEdge(u, v)
+	case 3:
+		g.RemoveEdge(u, v)
+	}
+}
+
+// churnedThenReset returns a graph that has been through every kind
+// of state Reset must clear — spilled hub adjacency, freed slots,
+// sparse IDs, built and repaired connectivity trackers — and then
+// Reset.
+func churnedThenReset() *Graph {
+	g := New()
+	g.SetConnectivity(ConnectivityIncremental, 4)
+	g.SetSCC(ConnectivityIncremental, 4)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		g.AddVertex(VertexID(i))
+	}
+	g.AddVertex(1 << 40) // past the dense index: sparse map
+	for i := 1; i < 200; i++ {
+		g.AddEdge(0, VertexID(i)) // hub: spills
+		g.AddEdge(VertexID(i), VertexID(rng.Intn(200)))
+	}
+	g.ConnectedComponentCount()
+	g.StronglyConnectedComponentCount()
+	for i := 0; i < 100; i++ {
+		g.RemoveEdge(VertexID(rng.Intn(200)), VertexID(rng.Intn(200)))
+		g.RemoveVertex(VertexID(rng.Intn(200)))
+	}
+	g.Reset()
+	return g
+}
+
+// graphDiff describes the first observable difference between two
+// graphs — vertex order, degrees and every aggregate count — or
+// returns "" when there is none.
+func graphDiff(a, b *Graph) string {
+	var va, vb []VertexID
+	a.Vertices(func(v VertexID) bool { va = append(va, v); return true })
+	b.Vertices(func(v VertexID) bool { vb = append(vb, v); return true })
+	if fmt.Sprint(va) != fmt.Sprint(vb) {
+		return fmt.Sprintf("vertex order %v vs %v", va, vb)
+	}
+	for _, v := range va {
+		if a.InDegree(v) != b.InDegree(v) || a.OutDegree(v) != b.OutDegree(v) {
+			return fmt.Sprintf("vertex %d degrees differ", v)
+		}
+	}
+	for d := 0; d <= maxTracked; d++ {
+		if a.CountInDegree(d) != b.CountInDegree(d) || a.CountOutDegree(d) != b.CountOutDegree(d) {
+			return fmt.Sprintf("degree-%d counts differ", d)
+		}
+	}
+	if a.CountInDegreeOverflow() != b.CountInDegreeOverflow() || a.CountOutDegreeOverflow() != b.CountOutDegreeOverflow() ||
+		a.CountInEqOut() != b.CountInEqOut() || a.NumVertices() != b.NumVertices() ||
+		a.NumEdges() != b.NumEdges() || a.Generation() != b.Generation() {
+		return fmt.Sprintf("counters differ: %v vs %v (gen %d vs %d)", a, b, a.Generation(), b.Generation())
+	}
+	return ""
+}
+
 // TestGraphInvariantsUnderRandomMutation applies random operation
 // sequences and validates the incremental histograms against full
-// recomputation via CheckInvariants.
+// recomputation via CheckInvariants. Each sequence also runs on a
+// churned-then-Reset graph, which must be indistinguishable from the
+// new one: same vertex order, degree counts and component counts.
 func TestGraphInvariantsUnderRandomMutation(t *testing.T) {
 	f := func(muts []mutation) bool {
-		g := New()
+		g, r := New(), churnedThenReset()
 		for _, m := range muts {
-			u, v := VertexID(m.U%32), VertexID(m.V%32)
-			switch m.Op % 4 {
-			case 0:
-				g.AddVertex(u)
-			case 1:
-				g.RemoveVertex(u)
-			case 2:
-				g.AddEdge(u, v)
-			case 3:
-				g.RemoveEdge(u, v)
-			}
+			m.apply(g)
+			m.apply(r)
 		}
-		return g.CheckInvariants() == ""
+		if msg := graphDiff(g, r); msg != "" {
+			t.Logf("reset graph diverged: %s", msg)
+			return false
+		}
+		return g.CheckInvariants() == "" &&
+			g.ConnectedComponentCount() == r.ConnectedComponentCount() &&
+			g.StronglyConnectedComponentCount() == r.StronglyConnectedComponentCount()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -56,7 +56,8 @@ func sccRandomMix(t *testing.T, g *Graph, rng *rand.Rand, steps, idSpace int) {
 // rebuilds) and probe budgets (2 = nearly every probe bails out,
 // forcing the dirty path; 128 and the default = probes mostly
 // complete), checking the count against the Tarjan walk after every
-// few operations.
+// few operations. The churned graph is then Reset and must track a
+// fixed program exactly like a new graph.
 func TestIncrementalSCCMatchesSnapshotRandom(t *testing.T) {
 	for _, th := range []int{1, 4, DefaultRebuildThreshold, 1 << 30} {
 		for _, budget := range []int{2, 128, DefaultSCCProbeBudget} {
@@ -67,6 +68,10 @@ func TestIncrementalSCCMatchesSnapshotRandom(t *testing.T) {
 				g.SetSCC(ConnectivityIncremental, th)
 				g.SetSCCProbeBudget(budget)
 				sccRandomMix(t, g, rng, 4000, 48)
+				checkResetMatchesNew(t, g, func(g *Graph) {
+					g.SetSCC(ConnectivityIncremental, th)
+					g.SetSCCProbeBudget(budget)
+				})
 			})
 		}
 	}

@@ -21,11 +21,45 @@ func oracleCheck(t *testing.T, g *Graph) {
 	}
 }
 
+// checkResetMatchesNew Resets churned, configures it and a new graph
+// alike with setup, and runs one fixed mutation program on both,
+// asserting every few steps that the two stay indistinguishable —
+// vertex order, degree counts, and both component counts, each also
+// checked against its walk.
+func checkResetMatchesNew(t *testing.T, churned *Graph, setup func(*Graph)) {
+	t.Helper()
+	churned.Reset()
+	fresh := New()
+	setup(churned)
+	setup(fresh)
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 600; step++ {
+		m := mutation{Op: byte(rng.Intn(4)), U: uint8(rng.Intn(32)), V: uint8(rng.Intn(32))}
+		m.apply(churned)
+		m.apply(fresh)
+		if step%7 != 0 {
+			continue
+		}
+		if msg := graphDiff(churned, fresh); msg != "" {
+			t.Fatalf("step %d: reset graph diverged from a new one: %s", step, msg)
+		}
+		oracleCheck(t, churned)
+		sccOracleCheck(t, churned)
+		if a, b := churned.ConnectedComponentCount(), fresh.ConnectedComponentCount(); a != b {
+			t.Fatalf("step %d: WCC count %d after Reset, %d new", step, a, b)
+		}
+		if a, b := churned.StronglyConnectedComponentCount(), fresh.StronglyConnectedComponentCount(); a != b {
+			t.Fatalf("step %d: SCC count %d after Reset, %d new", step, a, b)
+		}
+	}
+}
+
 // TestIncrementalWCCMatchesSnapshotRandom drives a delete-heavy random
 // mutation mix against the incremental tracker at several rebuild
 // thresholds (1 = rebuild on every conservative delete, 1<<30 = only
 // lazy query rebuilds) and checks the count against the graph walk
-// after every few operations.
+// after every few operations. The churned graph is then Reset and must
+// track a fixed program exactly like a new graph.
 func TestIncrementalWCCMatchesSnapshotRandom(t *testing.T) {
 	for _, th := range []int{1, 4, DefaultRebuildThreshold, 1 << 30} {
 		th := th
@@ -56,6 +90,7 @@ func TestIncrementalWCCMatchesSnapshotRandom(t *testing.T) {
 				}
 			}
 			oracleCheck(t, g)
+			checkResetMatchesNew(t, g, func(g *Graph) { g.SetConnectivity(ConnectivityIncremental, th) })
 		})
 	}
 }

@@ -45,6 +45,18 @@ func (c *shardedCounts) shard(v VertexID) *countShard {
 	return &c.shards[uint64(v)%numShards]
 }
 
+// reset zeroes every count. Writer goroutine only.
+func (c *shardedCounts) reset() {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		for b := range sh.inHist {
+			sh.inHist[b].Store(0)
+			sh.outHist[b].Store(0)
+		}
+		sh.eq.Store(0)
+	}
+}
+
 func (c *shardedCounts) sumIn(b int) int {
 	var n int64
 	for i := range c.shards {

@@ -8,7 +8,7 @@
 //   - The logger maintains its own image of heap connectivity rather
 //     than traversing the program's heap, "preserving cache-locality";
 //     here that translates to the logger holding an independent
-//     page-indexed object table (addrindex.Table) and per-object
+//     line-indexed object table (addrindex.Table) and per-object
 //     edge-slot tables, driven purely by events.
 //   - Metric computation points are function entries; metrics are
 //     computed once every Frequency entries (paper: frq = 1/100,000).
@@ -22,6 +22,7 @@ package logger
 
 import (
 	"fmt"
+	"sync"
 
 	"heapmd/internal/addrindex"
 	"heapmd/internal/callstack"
@@ -111,8 +112,6 @@ type SampleObserver interface {
 // from Stab/Get are valid until the table's next Insert or Remove.
 type objInfo struct {
 	vertex heapgraph.VertexID // object-granularity vertex
-	base   uint64
-	size   uint64
 	// slots records which offsets within the object currently hold a
 	// pointer, mapping each to the *target vertex* recorded when the
 	// write was observed. At field granularity the key is the same
@@ -198,9 +197,20 @@ type Logger struct {
 	program string
 	input   string
 	version int
+
+	released bool // in the pool; guards against a double Release
 }
 
-// New creates a Logger.
+// pool holds released loggers whose graph, address table, call stack
+// and freed set have been Reset, so the next New reuses their
+// capacity instead of growing fresh arenas from zero.
+var pool sync.Pool
+
+// maxRetainedFreed bounds the freed-address set Release keeps for
+// reuse; a larger one is dropped instead of pinned.
+const maxRetainedFreed = 1 << 15
+
+// New creates a Logger, reusing a released one when the pool has one.
 func New(opts Options) *Logger {
 	if opts.Frequency == 0 {
 		opts.Frequency = DefaultFrequency
@@ -208,17 +218,43 @@ func New(opts Options) *Logger {
 	if opts.Suite.Len() == 0 {
 		opts.Suite = metrics.DefaultSuite()
 	}
-	l := &Logger{
-		opts:    opts,
-		suite:   opts.Suite,
-		graph:   heapgraph.New(),
-		objects: addrindex.New[objInfo](),
-		stack:   callstack.NewTracker(),
-		freed:   make(map[uint64]struct{}),
+	l, _ := pool.Get().(*Logger)
+	if l == nil {
+		l = &Logger{
+			graph:   heapgraph.New(),
+			objects: addrindex.New[objInfo](),
+			stack:   callstack.NewTracker(),
+			freed:   make(map[uint64]struct{}),
+		}
 	}
+	l.released = false
+	l.opts, l.suite = opts, opts.Suite
 	l.graph.SetConnectivity(opts.Connectivity, opts.RebuildThreshold)
 	l.graph.SetSCC(opts.SCC, opts.RebuildThreshold)
 	return l
+}
+
+// Release resets the logger and returns it to the pool New draws
+// from. Only the logger's sole owner may call it, once, and only when
+// nothing can reach the logger any more — its Graph, Stack and Health
+// pointers included; a Report taken before Release stays valid, since
+// the report owns its snapshots. Storage that grew past a fixed cap
+// (see the Reset methods) is dropped rather than pooled.
+func (l *Logger) Release() {
+	if l.released {
+		panic("logger: Release called twice")
+	}
+	l.graph.Reset()
+	l.objects.Reset()
+	l.stack.Reset()
+	freed := l.freed
+	if len(freed) > maxRetainedFreed {
+		freed = make(map[uint64]struct{})
+	} else {
+		clear(freed)
+	}
+	*l = Logger{graph: l.graph, objects: l.objects, stack: l.stack, freed: freed, released: true}
+	pool.Put(l)
 }
 
 // SetRun records identifying metadata copied into the Report.
@@ -323,7 +359,7 @@ func (l *Logger) newVertex() heapgraph.VertexID {
 }
 
 func (l *Logger) onAlloc(base, size uint64) {
-	info := objInfo{base: base, size: size}
+	var info objInfo
 	if l.opts.Granularity == FieldGranularity {
 		nWords := size / 8
 		info.wordVertices = make([]heapgraph.VertexID, nWords)
@@ -382,7 +418,6 @@ func (l *Logger) onRealloc(oldBase, newBase, newSize uint64) {
 	info.slots.resize(newSize, func(_ uint64, target heapgraph.VertexID) {
 		l.graph.RemoveEdge(info.vertex, target)
 	})
-	info.base, info.size = newBase, newSize
 	l.objects.Insert(newBase, newSize, info)
 }
 
@@ -407,7 +442,7 @@ func (l *Logger) reallocField(info *objInfo, newBase, newSize uint64) {
 	// a multiple of 8, a slot can sit below newSize but inside the
 	// truncated tail word.
 	info.slots.resize(newWords*8, nil)
-	info.base, info.size, info.wordVertices = newBase, newSize, wv
+	info.wordVertices = wv
 	l.objects.Insert(newBase, newSize, *info)
 }
 
@@ -442,7 +477,7 @@ func (l *Logger) targetVertex(value uint64) (heapgraph.VertexID, bool) {
 }
 
 func (l *Logger) onStore(addr, value uint64) {
-	base, _, info, ok := l.objects.Stab(addr)
+	base, size, info, ok := l.objects.Stab(addr)
 	if !ok {
 		// Wild store: not part of the live heap image. The write is
 		// dropped, but its existence is a corruption signal.
@@ -467,7 +502,7 @@ func (l *Logger) onStore(addr, value uint64) {
 	// the info pointer stays valid across it.
 	if target, isPtr := l.targetVertex(value); isPtr {
 		l.graph.AddEdge(src, target)
-		info.slots.set(off, target, info.size)
+		info.slots.set(off, target, size)
 	}
 }
 

@@ -373,6 +373,24 @@ func TestLoggerStandaloneEvents(t *testing.T) {
 	if l.Ticks() != 1 {
 		t.Fatalf("ticks = %d", l.Ticks())
 	}
+
+	// Release resets every piece of per-run state before pooling the
+	// logger; a report taken before it stays intact.
+	rep := l.Report()
+	l.Release()
+	if len(rep.Snapshots) != 1 || rep.Events != 4 || rep.Health.WildFrees != 1 {
+		t.Fatalf("report changed by Release: %+v", rep)
+	}
+	if l.graph.NumVertices() != 0 || l.objects.Len() != 0 || l.stack.Depth() != 0 ||
+		len(l.freed) != 0 || l.snaps != nil || !l.health.Zero() || l.events != 0 || l.Ticks() != 0 {
+		t.Fatalf("released logger not reset: %s", l)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Release did not panic")
+		}
+	}()
+	l.Release()
 }
 
 func BenchmarkLoggerStore(b *testing.B) {
