@@ -510,9 +510,8 @@ func recordParserTraces(t testing.TB) (map[string][]byte, uint64) {
 }
 
 // BenchmarkReplayThroughput measures the batched trace replay fast
-// path into a real logger: per-event delivery (the old code path),
-// frame-batched delivery through the batch-sink interface, and
-// batched delivery with the read-ahead decoder goroutine — for the
+// path into a real logger: per-event delivery (the old code path) and
+// frame-batched delivery through the batch-sink interface — for the
 // fixed-width v2 format and the columnar v3 format, compressed and
 // not. The frame-decode loop reuses its payload and batch buffers, so
 // the batched variants hold allocs/op flat regardless of trace
@@ -533,31 +532,12 @@ func BenchmarkReplayThroughput(b *testing.B) {
 			_, _, err := trace.Replay(bytes.NewReader(data), l)
 			return err
 		}},
-		{"batched-decode1", "v2", func(l *logger.Logger, data []byte) error {
-			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{DecodeWorkers: 1})
-			return err
-		}},
 		{"batched-v3", "v3", func(l *logger.Logger, data []byte) error {
 			_, _, err := trace.Replay(bytes.NewReader(data), l)
 			return err
 		}},
-		{"batched-decode1-v3", "v3", func(l *logger.Logger, data []byte) error {
-			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{DecodeWorkers: 1})
-			return err
-		}},
 		{"batched-v3-flate", "v3-flate", func(l *logger.Logger, data []byte) error {
 			_, _, err := trace.Replay(bytes.NewReader(data), l)
-			return err
-		}},
-		// The decode pipeline at this machine's recommended worker
-		// count (synchronous on a single core — these rows then match
-		// the plain batched rows; ≥ 2 workers elsewhere).
-		{"batched-parallel-v3", "v3", func(l *logger.Logger, data []byte) error {
-			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{DecodeWorkers: trace.DefaultDecodeWorkers()})
-			return err
-		}},
-		{"batched-parallel-v3-flate", "v3-flate", func(l *logger.Logger, data []byte) error {
-			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{DecodeWorkers: trace.DefaultDecodeWorkers()})
 			return err
 		}},
 	}

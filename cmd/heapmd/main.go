@@ -189,7 +189,6 @@ func cmdTrain(args []string) error {
 	recordDir := fs.String("record-traces", "", "record each run's event stream to DIR/<input>.trace for later 'heapmd replay'")
 	traceFormat := fs.Uint("trace-format", uint(trace.VersionV3), "trace format version to record (2 or 3)")
 	compress := fs.Bool("compress", false, "flate-compress recorded v3 trace frames (smaller files, same replay)")
-	traceWorkers := fs.Int("trace-workers", 0, "encode recorded v3 frames on this many workers per run (0 = synchronous; bytes are identical)")
 	connFlags := addConnectivityFlags(fs)
 	extended := fs.Bool("extended", false, "train on the extended metric suite (adds WCC/SCC structure metrics)")
 	if err := parseFlags(fs, args); err != nil {
@@ -211,11 +210,7 @@ func cmdTrain(args []string) error {
 	if *recordDir != "" {
 		// Recording stays parallel: the hook opens a private writer per
 		// run (see RunConfig.Record).
-		encodeWorkers, err := sched.ParseEncodeWorkers(*traceWorkers)
-		if err != nil {
-			return err
-		}
-		cfg.Record, err = traceRecorder(*recordDir, uint32(*traceFormat), *compress, encodeWorkers)
+		cfg.Record, err = traceRecorder(*recordDir, uint32(*traceFormat), *compress)
 		if err != nil {
 			return err
 		}
@@ -254,24 +249,22 @@ func cmdTrain(args []string) error {
 // run's event stream to dir/<input>.trace in the selected format. The
 // hook builds a fresh writer per run, so recorded training and check
 // runs still fan out across workers.
-func traceRecorder(dir string, format uint32, compress bool, workers int) (func(in workloads.Input, p *prog.Process) (func() error, error), error) {
+func traceRecorder(dir string, format uint32, compress bool) (func(in workloads.Input, p *prog.Process) (func() error, error), error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	// Validate the format/compression/worker combination once, up
-	// front, rather than failing on every run. The probe must be closed
-	// so a pipelined writer's goroutines do not outlive it.
-	probe, err := trace.NewWriterWith(io.Discard, trace.WriterOptions{Version: format, Compress: compress, Workers: workers})
-	if err != nil {
+	// Validate the format/compression combination once, up front,
+	// rather than failing on every run.
+	opts := trace.WriterOptions{Version: format, Compress: compress}
+	if _, err := trace.NewWriterWith(io.Discard, opts); err != nil {
 		return nil, err
 	}
-	probe.Close(nil)
 	return func(in workloads.Input, p *prog.Process) (func() error, error) {
 		f, err := os.Create(filepath.Join(dir, in.Name+".trace"))
 		if err != nil {
 			return nil, err
 		}
-		tw, err := trace.NewWriterWith(f, trace.WriterOptions{Version: format, Compress: compress, Workers: workers})
+		tw, err := trace.NewWriterWith(f, opts)
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -383,7 +376,6 @@ func cmdCheck(args []string) error {
 	recordDir := fs.String("record-traces", "", "record each run's event stream to DIR/<input>.trace for later 'heapmd replay'")
 	traceFormat := fs.Uint("trace-format", uint(trace.VersionV3), "trace format version to record (2 or 3)")
 	compress := fs.Bool("compress", false, "flate-compress recorded v3 trace frames (smaller files, same replay)")
-	traceWorkers := fs.Int("trace-workers", 0, "encode recorded v3 frames on this many workers per run (0 = synchronous; bytes are identical)")
 	connFlags := addConnectivityFlags(fs)
 	extended := fs.Bool("extended", false, "check with the extended metric suite (adds WCC/SCC structure metrics)")
 	if err := parseFlags(fs, args); err != nil {
@@ -403,11 +395,7 @@ func cmdCheck(args []string) error {
 	}
 	var record func(workloads.Input, *prog.Process) (func() error, error)
 	if *recordDir != "" {
-		encodeWorkers, werr := sched.ParseEncodeWorkers(*traceWorkers)
-		if werr != nil {
-			return werr
-		}
-		record, err = traceRecorder(*recordDir, uint32(*traceFormat), *compress, encodeWorkers)
+		record, err = traceRecorder(*recordDir, uint32(*traceFormat), *compress)
 		if err != nil {
 			return err
 		}

@@ -108,9 +108,33 @@ func TestReplayDecodeAliasesGone(t *testing.T) {
 	}
 }
 
+// TestDecodeWorkerFlagsGone: trace decoding and encoding run on the
+// calling goroutine, so -decode-workers (replay) and -trace-workers
+// (train, check) are undefined flags, and passing one is a usage error.
+func TestDecodeWorkerFlagsGone(t *testing.T) {
+	cmds := map[string]func([]string) error{
+		"train": cmdTrain, "check": cmdCheck, "replay": cmdReplay,
+	}
+	for _, tc := range []struct {
+		flag string
+		cmds []string
+	}{
+		{"decode-workers", []string{"replay"}},
+		{"trace-workers", []string{"train", "check"}},
+	} {
+		for _, name := range tc.cmds {
+			err := cmds[name]([]string{"-" + tc.flag, "2"})
+			var uerr usageError
+			if !errors.As(err, &uerr) || !strings.Contains(err.Error(), tc.flag) {
+				t.Errorf("%s -%s 2 = %v, want an undefined-flag usage error", name, tc.flag, err)
+			}
+		}
+	}
+}
+
 // TestReplayOutputHasNoIngestLine records traces with train, replays
-// them at several decode settings, and checks the per-trace summaries
-// are there and the old "ingest pipeline:" line is not.
+// them, and checks the per-trace summaries are there and the old
+// "ingest pipeline:" and "decode pipeline:" lines are not.
 func TestReplayOutputHasNoIngestLine(t *testing.T) {
 	dir := t.TempDir()
 	traces := filepath.Join(dir, "tr")
@@ -120,18 +144,18 @@ func TestReplayOutputHasNoIngestLine(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, dw := range []string{"0", "1", "2"} {
-		out, err := captureStdout(t, func() error {
-			return cmdReplay([]string{"-decode-workers", dw, "-trace", traces})
-		})
-		if err != nil {
-			t.Fatalf("-decode-workers %s: %v", dw, err)
-		}
-		if strings.Count(out, "replayed ") != 3 {
-			t.Errorf("-decode-workers %s: want two per-trace lines and a total:\n%s", dw, out)
-		}
-		if strings.Contains(out, "ingest pipeline:") {
-			t.Errorf("-decode-workers %s: output still has an ingest pipeline line:\n%s", dw, out)
+	out, err := captureStdout(t, func() error {
+		return cmdReplay([]string{"-trace", traces})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(out, "replayed ") != 3 {
+		t.Errorf("want two per-trace lines and a total:\n%s", out)
+	}
+	for _, line := range []string{"ingest pipeline:", "decode pipeline:"} {
+		if strings.Contains(out, line) {
+			t.Errorf("output still has a %q line:\n%s", line, out)
 		}
 	}
 }

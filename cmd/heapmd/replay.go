@@ -42,7 +42,6 @@ func cmdReplay(args []string) error {
 	tracePath := fs.String("trace", "", "trace file recorded with heapmd.RecordTrace, or a directory of traces")
 	modelPath := fs.String("model", "", "optional model file: check each replayed report against it")
 	salvage := fs.Bool("salvage", false, "recover the longest valid prefix of a damaged trace")
-	decodeWorkersFlag := fs.Int("decode-workers", 0, "frame decode workers per trace: 0 = auto (all cores; synchronous on a single core), 1 = read-ahead, n = scanner + n-worker pipeline (identical report at any setting)")
 	extended := fs.Bool("extended", false, "compute the extended metric suite (adds WCC/SCC structure metrics)")
 	connFlags := addConnectivityFlags(fs)
 	freq := fs.Uint64("freq", 0, "sampling frequency; must match the recording (0 = simulation default)")
@@ -92,22 +91,17 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	decodeWorkers, err := sched.ParseDecodeWorkers(*decodeWorkersFlag)
-	if err != nil {
-		return err
-	}
 	var suite metrics.Suite
 	if *extended {
 		suite = metrics.ExtendedSuite()
 	}
 	cfg := replayConfig{
 		opts: heapmd.ReplayOptions{
-			Frequency:     *freq,
-			Salvage:       *salvage,
-			DecodeWorkers: decodeWorkers,
-			Suite:         suite,
-			Connectivity:  conn,
-			SCC:           sccMode,
+			Frequency:    *freq,
+			Salvage:      *salvage,
+			Suite:        suite,
+			Connectivity: conn,
+			SCC:          sccMode,
 		},
 		retries: *retries,
 		program: *program,
@@ -274,13 +268,6 @@ func replayOne(path string, cfg replayConfig) (*replayOut, error) {
 				st.CompressionRatio(), st.CompressedFrames, st.EventFrames)
 		}
 		b.WriteByte('\n')
-	}
-	if st.DecodeWorkers >= 2 {
-		// Stall counters locate the pipeline bottleneck: scanner stalls
-		// mean decode or the sink is behind; resequencer stalls mean
-		// worker skew is gating in-order delivery.
-		fmt.Fprintf(&b, "decode pipeline: %d workers, %d scanner stalls, %d resequencer stalls\n",
-			st.DecodeWorkers, st.ScannerStalls, st.ResequencerStalls)
 	}
 	if info.Salvaged() {
 		fmt.Fprintf(&b, "salvage: %s\n", info)

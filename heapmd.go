@@ -309,11 +309,7 @@ type TrainingInput struct {
 // error no reports are added. body must not touch shared state without
 // its own synchronization.
 func (s *Session) TrainMany(program string, inputs []TrainingInput, parallel int, body func(*Run, TrainingInput) error) error {
-	workers := parallel
-	if workers < 0 {
-		workers = sched.Workers(0)
-	}
-	reports, err := sched.Map(workers, len(inputs), func(i int) (*Report, error) {
+	reports, err := sched.Map(parallel, len(inputs), func(i int) (*Report, error) {
 		run := s.newRun(program, inputs[i].Name, inputs[i].Seed, nil)
 		if err := body(run, inputs[i]); err != nil {
 			return nil, err
@@ -389,11 +385,6 @@ func SaveModel(m *Model, w io.Writer) error { return m.Save(w) }
 // LoadModel deserializes a model written by SaveModel.
 func LoadModel(r io.Reader) (*Model, error) { return model.Load(r) }
 
-// DefaultDecodeWorkers returns the decode-worker count replay should
-// use on this machine: all cores on a multi-core machine, 0
-// (synchronous) on a single core; see trace.DefaultDecodeWorkers.
-func DefaultDecodeWorkers() int { return trace.DefaultDecodeWorkers() }
-
 // TraceOptions configure RecordTraceWith.
 type TraceOptions struct {
 	// Version selects the trace format (TraceFormatV2 or
@@ -402,12 +393,6 @@ type TraceOptions struct {
 	// Compress flate-compresses v3 event frames when that makes them
 	// smaller; replay output is identical. Only valid with v3.
 	Compress bool
-	// Workers encodes (and, with Compress, flate-compresses) sealed
-	// v3 frames on a pool of that many goroutines instead of the
-	// emitting goroutine, with a single ordered writer performing the
-	// I/O. The trace bytes are identical at any worker count. Zero
-	// means synchronous. Only valid with v3.
-	Workers int
 }
 
 // RecordTrace attaches a trace writer to a run so its event stream
@@ -425,7 +410,7 @@ func RecordTrace(r *Run, w io.Writer) (func() error, error) {
 // RecordTraceWith is RecordTrace with format control; the zero
 // options record columnar v3, uncompressed.
 func RecordTraceWith(r *Run, w io.Writer, opts TraceOptions) (func() error, error) {
-	tw, err := trace.NewWriterWith(w, trace.WriterOptions{Version: opts.Version, Compress: opts.Compress, Workers: opts.Workers})
+	tw, err := trace.NewWriterWith(w, trace.WriterOptions{Version: opts.Version, Compress: opts.Compress})
 	if err != nil {
 		return nil, err
 	}
@@ -448,14 +433,6 @@ type ReplayOptions struct {
 	// Suite selects the metric suite for the replay; zero value
 	// means the default seven-metric suite.
 	Suite metrics.Suite
-	// DecodeWorkers selects the trace decode pipeline: 0 decodes
-	// synchronously, 1 CRC-checks and decodes the next frame on one
-	// read-ahead goroutine, and n ≥ 2 runs a framing scanner plus n
-	// decode workers with ordered delivery. The report is identical at
-	// any setting; negative values decode synchronously.
-	// DefaultDecodeWorkers returns this machine's recommended value.
-	// See trace.ReadOptions.DecodeWorkers.
-	DecodeWorkers int
 	// Stats, when non-nil, is filled with storage accounting for the
 	// replayed trace: format version, bytes per event, compression
 	// ratio.
@@ -469,6 +446,8 @@ type ReplayOptions struct {
 	// RebuildThreshold is the incremental trackers' dirty budget;
 	// see Options.RebuildThreshold.
 	RebuildThreshold int
+	// Deprecated: ignored; kept so perfbench compiles — remove in the next benchmark PR
+	DecodeWorkers int
 	// Deprecated: ignored; kept so perfbench compiles — remove in the next benchmark PR
 	IngestWorkers int
 }
@@ -503,7 +482,7 @@ func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions
 		info *SalvageInfo
 		err  error
 	)
-	ropts := trace.ReadOptions{DecodeWorkers: opts.DecodeWorkers, Stats: opts.Stats}
+	ropts := trace.ReadOptions{Stats: opts.Stats}
 	if opts.Salvage {
 		sym, info, err = trace.SalvageWith(rd, l, ropts)
 	} else {

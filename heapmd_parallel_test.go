@@ -74,84 +74,3 @@ func TestTrainManyFirstErrorWins(t *testing.T) {
 		t.Fatalf("%d reports added despite fleet failure", len(sess.reports))
 	}
 }
-
-// TestReplaySingleDecodeWorkerFacade checks that read-ahead replay
-// (DecodeWorkers: 1) reconstructs the same report as the synchronous
-// reader.
-func TestReplaySingleDecodeWorkerFacade(t *testing.T) {
-	sess := NewSession(Options{Frequency: 4})
-	run := sess.NewRun("listprog", "traced", 7)
-	var buf bytes.Buffer
-	closeTrace, err := RecordTrace(run, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buildListProgram(run.Process(), false, 400)
-	if err := closeTrace(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	syncRep, _, _, err := ReplayTraceWith(bytes.NewReader(data), "listprog", "traced", ReplayOptions{Frequency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raRep, _, _, err := ReplayTraceWith(bytes.NewReader(data), "listprog", "traced", ReplayOptions{Frequency: 4, DecodeWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", syncRep.Snapshots) != fmt.Sprintf("%+v", raRep.Snapshots) {
-		t.Error("read-ahead replay produced different metric snapshots")
-	}
-	if syncRep.Health != raRep.Health {
-		t.Errorf("read-ahead replay produced different health counters: %+v vs %+v",
-			syncRep.Health, raRep.Health)
-	}
-}
-
-// TestParallelCodecFacade checks the PR-8 knobs end to end through
-// the public API: TraceOptions.Workers records a byte-identical
-// compressed trace on an encode pool, and ReplayOptions.DecodeWorkers
-// reconstructs the same report as the synchronous reader, reporting
-// the worker count in TraceStats.
-func TestParallelCodecFacade(t *testing.T) {
-	record := func(workers int) []byte {
-		sess := NewSession(Options{Frequency: 4})
-		run := sess.NewRun("listprog", "traced", 7)
-		var buf bytes.Buffer
-		closeTrace, err := RecordTraceWith(run, &buf, TraceOptions{Compress: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		buildListProgram(run.Process(), false, 400)
-		if err := closeTrace(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	data := record(0)
-	if parallel := record(3); !bytes.Equal(data, parallel) {
-		t.Fatalf("TraceOptions{Workers: 3} recorded different bytes (%d vs %d)", len(parallel), len(data))
-	}
-
-	syncRep, _, _, err := ReplayTraceWith(bytes.NewReader(data), "listprog", "traced", ReplayOptions{Frequency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st TraceStats
-	plRep, _, _, err := ReplayTraceWith(bytes.NewReader(data), "listprog", "traced",
-		ReplayOptions{Frequency: 4, DecodeWorkers: 3, Stats: &st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DecodeWorkers != 3 {
-		t.Errorf("TraceStats.DecodeWorkers = %d, want 3", st.DecodeWorkers)
-	}
-	if fmt.Sprintf("%+v", syncRep.Snapshots) != fmt.Sprintf("%+v", plRep.Snapshots) {
-		t.Error("parallel decode produced different metric snapshots")
-	}
-	if syncRep.Health != plRep.Health {
-		t.Errorf("parallel decode produced different health counters: %+v vs %+v",
-			syncRep.Health, plRep.Health)
-	}
-}

@@ -16,7 +16,6 @@ import (
 
 	"heapmd/internal/logger"
 	"heapmd/internal/model"
-	"heapmd/internal/sched"
 	"heapmd/internal/workloads"
 )
 
@@ -34,14 +33,6 @@ type Config struct {
 	// experiment aggregates cell results in deterministic cell order,
 	// so outputs are bit-identical to a serial run.
 	Parallel int
-}
-
-// workers resolves Parallel into a concrete worker count (0 = serial).
-func (c Config) workers() int {
-	if c.Parallel == 0 {
-		return 1
-	}
-	return sched.Workers(c.Parallel)
 }
 
 func (c Config) thresholds() model.Thresholds {

@@ -199,7 +199,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 	// pool, then fold the ordered results exactly as the serial loops
 	// did, so the table is bit-identical at any worker count.
 	scs := table1Scenarios()
-	outcomes, err := sched.Map(cfg.workers(), len(scs), func(i int) (*scenarioOutcome, error) {
+	outcomes, err := sched.Map(cfg.Parallel, len(scs), func(i int) (*scenarioOutcome, error) {
 		return runScenario(scs[i], trainN, testN, cfg, true)
 	})
 	if err != nil {
@@ -234,7 +234,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 	}
 	names := []string{"multimedia", "webapp", "game_sim"}
 	type fpCount struct{ heapmd, swat int }
-	fps, err := sched.Map(cfg.workers(), len(names), func(i int) (fpCount, error) {
+	fps, err := sched.Map(cfg.Parallel, len(names), func(i int) (fpCount, error) {
 		name := names[i]
 		var fp fpCount
 		w, err := workloads.Get(name)
@@ -405,7 +405,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 	// cells; run them on the worker pool and aggregate in cell order
 	// (see Table1 for the determinism argument).
 	scs := table2Scenarios()
-	outcomes, err := sched.Map(cfg.workers(), len(scs), func(i int) (*scenarioOutcome, error) {
+	outcomes, err := sched.Map(cfg.Parallel, len(scs), func(i int) (*scenarioOutcome, error) {
 		return runScenario(scs[i], trainN, testN, cfg, false)
 	})
 	if err != nil {
@@ -422,7 +422,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 		}
 	}
 	// Clean-run false positives per application.
-	fps, err := sched.Map(cfg.workers(), len(order), func(i int) (int, error) {
+	fps, err := sched.Map(cfg.Parallel, len(order), func(i int) (int, error) {
 		w, err := workloads.Get(order[i])
 		if err != nil {
 			return 0, err

@@ -52,24 +52,14 @@ func ParseParallel(n int) (int, error) {
 	return Workers(n), nil
 }
 
-// ParseDecodeWorkers validates a -decode-workers flag value and
-// resolves it to a trace.ReadOptions.DecodeWorkers setting: 0 selects
-// the machine default — all cores on a multi-core machine, the
-// synchronous decoder on a single core, where extra goroutines only
-// add handoff cost. Positive values are exact: 1 is the fused
-// read-ahead pipeline, n ≥ 2 a scanner plus n decode workers.
-// Negative values are an error.
+// ParseDecodeWorkers returns 0 for any n >= 0 and an error for n < 0.
+//
+// Deprecated: ignored; kept so perfbench compiles — remove in the next benchmark PR
 func ParseDecodeWorkers(n int) (int, error) {
 	if n < 0 {
-		return 0, fmt.Errorf("sched: -decode-workers must be >= 0 (0 = auto), got %d", n)
+		return 0, fmt.Errorf("sched: -decode-workers must be >= 0, got %d", n)
 	}
-	if n == 0 {
-		if p := runtime.GOMAXPROCS(0); p > 1 {
-			return p, nil
-		}
-		return 0, nil
-	}
-	return n, nil
+	return 0, nil
 }
 
 // ParseIngestWorkers returns 1 for any n >= 0 and an error for n < 0.
@@ -82,29 +72,30 @@ func ParseIngestWorkers(n int) (int, error) {
 	return 1, nil
 }
 
-// ParseEncodeWorkers validates a -trace-workers flag value: 0 encodes
-// recorded trace frames synchronously on the emitting goroutine (the
-// default — recording is rarely the bottleneck), positive values run
-// that many encode workers per writer, and negative values are an
-// error.
+// ParseEncodeWorkers returns 0 for any n >= 0 and an error for n < 0.
+//
+// Deprecated: ignored; kept so perfbench compiles — remove in the next benchmark PR
 func ParseEncodeWorkers(n int) (int, error) {
 	if n < 0 {
-		return 0, fmt.Errorf("sched: -trace-workers must be >= 0 (0 = synchronous), got %d", n)
+		return 0, fmt.Errorf("sched: -trace-workers must be >= 0, got %d", n)
 	}
-	return n, nil
+	return 0, nil
 }
 
 // Map executes fn(0) .. fn(n-1) on up to workers goroutines and
-// returns the results in input order. workers <= 1 runs serially on
-// the calling goroutine. On failure Map returns the error of the
-// lowest-numbered failing index — exactly what a serial loop that
-// stops at the first error would return — after every in-flight run
-// has drained. A panicking fn is converted into an error on both the
-// serial and the parallel path, so a crashing run mid-fleet cannot
-// kill sibling workers.
+// returns the results in input order. A negative workers uses
+// GOMAXPROCS; 0 or 1 runs serially on the calling goroutine. On
+// failure Map returns the error of the lowest-numbered failing index
+// — exactly what a serial loop that stops at the first error would
+// return — after every in-flight run has drained. A panicking fn is
+// converted into an error on both the serial and the parallel path, so
+// a crashing run mid-fleet cannot kill sibling workers.
 func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
+	}
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

@@ -9,8 +9,10 @@ import (
 	"testing"
 )
 
+// TestMapOrdersResults covers every worker-count class: negative
+// (GOMAXPROCS), 0 and 1 (serial), and pools smaller and larger than n.
 func TestMapOrdersResults(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 9, 100} {
+	for _, workers := range []int{-1, 0, 1, 2, 4, 9, 100} {
 		out, err := Map(workers, 25, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -167,39 +169,5 @@ func TestParseParallel(t *testing.T) {
 	}
 	if _, err := ParseParallel(-1); err == nil {
 		t.Fatal("ParseParallel(-1) did not error")
-	}
-}
-
-func TestParseDecodeWorkers(t *testing.T) {
-	got, err := ParseDecodeWorkers(0)
-	if err != nil {
-		t.Fatalf("ParseDecodeWorkers(0): %v", err)
-	}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		if got != p {
-			t.Fatalf("ParseDecodeWorkers(0) = %d, want %d (all cores)", got, p)
-		}
-	} else if got != 0 {
-		t.Fatalf("ParseDecodeWorkers(0) = %d, want 0 (synchronous on a single core)", got)
-	}
-	for _, n := range []int{1, 2, 7} {
-		if got, err := ParseDecodeWorkers(n); err != nil || got != n {
-			t.Fatalf("ParseDecodeWorkers(%d) = %d, %v", n, got, err)
-		}
-	}
-	if _, err := ParseDecodeWorkers(-1); err == nil {
-		t.Fatal("ParseDecodeWorkers(-1) did not error")
-	}
-}
-
-func TestParseEncodeWorkers(t *testing.T) {
-	if got, err := ParseEncodeWorkers(0); err != nil || got != 0 {
-		t.Fatalf("ParseEncodeWorkers(0) = %d, %v", got, err)
-	}
-	if got, err := ParseEncodeWorkers(3); err != nil || got != 3 {
-		t.Fatalf("ParseEncodeWorkers(3) = %d, %v", got, err)
-	}
-	if _, err := ParseEncodeWorkers(-1); err == nil {
-		t.Fatal("ParseEncodeWorkers(-1) did not error")
 	}
 }

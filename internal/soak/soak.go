@@ -152,20 +152,12 @@ func Run(opts Options) (*Scoreboard, error) {
 		}
 	}
 
-	workers := opts.Parallel
-	if workers < 0 {
-		workers = sched.Workers(0)
-	}
-	if workers == 0 {
-		workers = 1
-	}
-
 	r := &runner{opts: opts, models: make(map[string]*model.Model, len(wl))}
 
 	// Calibrate one clean model per distinct workload. Training time
 	// is excluded from the soak budget: the budget buys fault
 	// exposure, not setup.
-	trained, err := sched.Map(workers, len(wl), func(i int) (*model.Model, error) {
+	trained, err := sched.Map(opts.Parallel, len(wl), func(i int) (*model.Model, error) {
 		w, err := workloads.Get(wl[i])
 		if err != nil {
 			return nil, err
@@ -189,10 +181,15 @@ func Run(opts Options) (*Scoreboard, error) {
 
 	if opts.Duration > 0 {
 		r.deadline = time.Now().Add(opts.Duration)
-		r.share = time.Duration(int64(opts.Duration) * int64(workers) / int64(len(cells)))
+		// sched.Map soaks this many cells at once.
+		inFlight := 1
+		if opts.Parallel != 0 {
+			inFlight = sched.Workers(opts.Parallel)
+		}
+		r.share = time.Duration(int64(opts.Duration) * int64(inFlight) / int64(len(cells)))
 	}
 
-	results, err := sched.Map(workers, len(cells), func(i int) (CellResult, error) {
+	results, err := sched.Map(opts.Parallel, len(cells), func(i int) (CellResult, error) {
 		return r.runCell(cells[i])
 	})
 	if err != nil {

@@ -261,8 +261,8 @@ var (
 )
 
 // Fixed Huffman tables (RFC 1951 §3.2.6), built once and shared
-// read-only by every inflater — including codec instances on parallel
-// decode workers (sync.Once publishes the fully-built tables).
+// read-only by every inflater — including those of traces replayed
+// concurrently (sync.Once publishes the fully-built tables).
 var (
 	fixedOnce        sync.Once
 	fixedLitTable    huffTable
@@ -304,7 +304,7 @@ const (
 
 // inflater decodes one whole DEFLATE stream per call, reusing its
 // tables and scratch across calls. Not goroutine-safe; each frame
-// decoder / codec worker owns one.
+// decoder owns one.
 type inflater struct {
 	br   bitReader
 	lit  huffTable // dynamic literal/length table

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"testing"
 
 	"heapmd/internal/event"
@@ -38,32 +41,141 @@ func writeV2(t *testing.T, evs []event.Event, sym *event.Symtab, flushEvery int)
 	return buf.Bytes()
 }
 
+// boundary is what is durable at the end of one frame of a
+// well-formed trace: the ground truth a salvage of any prefix ending
+// there — or of any trace damaged in the frame after it — must
+// reproduce, Stats included.
 type boundary struct {
 	offset int
 	events uint64
+	// Event-frame accounting through this frame, as Stats reports it.
+	frames, compressed uint64
+	stored, raw        uint64
+	// syms is the symbol count of the last symtab checkpoint.
+	syms int
 }
 
-// frameBoundaries walks a well-formed v2 trace and returns, for each
-// frame end, the byte offset and the cumulative event count durable
-// there — the ground truth a salvage of any prefix must reproduce.
+// frameBoundaries walks a well-formed v2 or v3 trace and returns one
+// boundary per frame end. The first element is the header (offset 8,
+// nothing durable).
 func frameBoundaries(t *testing.T, data []byte) []boundary {
 	t.Helper()
-	var bounds []boundary
-	off := 8
-	var events uint64
-	for off < len(data) {
-		if off+frameHeaderSize > len(data) {
-			t.Fatalf("ragged frame header at %d", off)
+	version := binary.LittleEndian.Uint32(data[4:])
+	cur := boundary{offset: 8}
+	bounds := []boundary{cur}
+	for cur.offset < len(data) {
+		if cur.offset+frameHeaderSize > len(data) {
+			t.Fatalf("ragged frame header at %d", cur.offset)
 		}
-		kind := data[off]
-		payloadLen := int(binary.LittleEndian.Uint32(data[off+1:]))
+		kind := data[cur.offset]
+		payloadLen := int(binary.LittleEndian.Uint32(data[cur.offset+1:]))
+		payload := data[cur.offset+frameHeaderSize : cur.offset+frameHeaderSize+payloadLen]
 		if kind == frameEvents {
-			events += uint64(payloadLen / recordSize)
+			cur.frames++
+			cur.stored += uint64(payloadLen)
+			switch {
+			case version == Version:
+				cur.events += uint64(payloadLen / recordSize)
+				cur.raw += uint64(payloadLen)
+			case payload[0] == codecFlate:
+				cur.events += uint64(binary.LittleEndian.Uint32(payload[1:]))
+				body, err := io.ReadAll(flate.NewReader(bytes.NewReader(payload[v3EventHeaderSize:])))
+				if err != nil {
+					t.Fatalf("frame at %d: %v", cur.offset, err)
+				}
+				cur.raw += uint64(v3EventHeaderSize + len(body))
+				cur.compressed++
+			default:
+				cur.events += uint64(binary.LittleEndian.Uint32(payload[1:]))
+				cur.raw += uint64(payloadLen)
+			}
 		}
-		off += frameHeaderSize + payloadLen
-		bounds = append(bounds, boundary{offset: off, events: events})
+		if kind == frameSymtab {
+			cur.syms = int(binary.LittleEndian.Uint32(payload))
+		}
+		cur.offset += frameHeaderSize + payloadLen
+		bounds = append(bounds, cur)
 	}
 	return bounds
+}
+
+// prefixAt returns the last boundary at or before offset: for a cut at
+// offset, what survives; for damage at offset, what precedes the
+// damaged frame.
+func prefixAt(bounds []boundary, offset int) boundary {
+	best := bounds[0]
+	for _, b := range bounds {
+		if b.offset <= offset {
+			best = b
+		}
+	}
+	return best
+}
+
+// checkDamaged replays a damaged trace (a cut, a flipped byte, or
+// bytes after the end frame) whose longest valid prefix ends at want,
+// and checks both modes exactly: salvage recovers precisely evs up to
+// want with the matching SalvageInfo and Stats; strict replay fails
+// with ErrCorrupt after delivering the same prefix and the same Stats.
+// Both return the last symtab checkpoint in the prefix.
+func checkDamaged(t *testing.T, label string, data []byte, evs []event.Event, want boundary, truncated bool) {
+	t.Helper()
+	wantStats := Stats{
+		Version:          binary.LittleEndian.Uint32(data[4:]),
+		TotalBytes:       uint64(len(data)),
+		Events:           want.events,
+		EventFrames:      want.frames,
+		CompressedFrames: want.compressed,
+		StoredEventBytes: want.stored,
+		RawEventBytes:    want.raw,
+	}
+	wantInfo := SalvageInfo{
+		EventsRecovered: want.events,
+		BytesDropped:    uint64(len(data) - want.offset),
+		Truncated:       truncated,
+	}
+	checkPrefix := func(mode string, got []event.Event, sym *event.Symtab) {
+		t.Helper()
+		if sym.Len() != want.syms {
+			t.Fatalf("%s %s: symtab has %d names, want %d", label, mode, sym.Len(), want.syms)
+		}
+		if uint64(len(got)) != want.events {
+			t.Fatalf("%s %s: delivered %d events, want %d", label, mode, len(got), want.events)
+		}
+		for i := range got {
+			if got[i] != evs[i] {
+				t.Fatalf("%s %s: event %d corrupted", label, mode, i)
+			}
+		}
+	}
+
+	var salvaged []event.Event
+	var salvageStats Stats
+	sym, info, err := SalvageWith(bytes.NewReader(data), collectSink(&salvaged), ReadOptions{Stats: &salvageStats})
+	if err != nil {
+		t.Fatalf("%s: salvage failed: %v", label, err)
+	}
+	if *info != wantInfo {
+		t.Fatalf("%s: salvage info %+v, want %+v", label, *info, wantInfo)
+	}
+	checkPrefix("salvage", salvaged, sym)
+	if salvageStats != wantStats {
+		t.Fatalf("%s: salvage stats %+v, want %+v", label, salvageStats, wantStats)
+	}
+
+	var strict []event.Event
+	var strictStats Stats
+	sym, n, err := ReplayWith(bytes.NewReader(data), collectSink(&strict), ReadOptions{Stats: &strictStats})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%s: strict replay err = %v, want ErrCorrupt", label, err)
+	}
+	if n != want.events {
+		t.Fatalf("%s: strict replay counted %d events, want %d", label, n, want.events)
+	}
+	checkPrefix("strict", strict, sym)
+	if strictStats != wantStats {
+		t.Fatalf("%s: strict stats %+v, want %+v", label, strictStats, wantStats)
+	}
 }
 
 func testEvents(n int) []event.Event {
@@ -119,59 +231,22 @@ func TestV2TruncationAtEveryOffset(t *testing.T) {
 	evs := testEvents(60)
 	data := writeV2(t, evs, sym, 5)
 	bounds := frameBoundaries(t, data)
-
-	expectAt := func(cut int) (uint64, int) {
-		best := boundary{offset: 8}
-		for _, b := range bounds {
-			if b.offset <= cut && b.offset > best.offset {
-				best = b
-			}
-		}
-		return best.events, best.offset
-	}
 	for cut := 8; cut < len(data); cut++ {
-		var got []event.Event
-		_, info, err := Salvage(bytes.NewReader(data[:cut]), collectSink(&got))
-		if err != nil {
-			t.Fatalf("cut=%d: salvage failed: %v", cut, err)
-		}
-		wantEvents, wantOffset := expectAt(cut)
-		if info.EventsRecovered != wantEvents || uint64(len(got)) != wantEvents {
-			t.Fatalf("cut=%d: recovered %d events, want %d", cut, info.EventsRecovered, wantEvents)
-		}
-		if !info.Truncated {
-			t.Fatalf("cut=%d: truncation not reported", cut)
-		}
-		if info.BytesDropped != uint64(cut-wantOffset) {
-			t.Fatalf("cut=%d: dropped %d bytes, want %d", cut, info.BytesDropped, cut-wantOffset)
-		}
-		for i := range got {
-			if got[i] != evs[i] {
-				t.Fatalf("cut=%d: event %d corrupted in salvage", cut, i)
-			}
-		}
-		// Strict replay of the same cut must refuse.
-		if _, _, err := Replay(bytes.NewReader(data[:cut]), event.SinkFunc(func(event.Event) {})); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("cut=%d: strict replay err = %v, want ErrCorrupt", cut, err)
-		}
+		checkDamaged(t, fmt.Sprintf("cut=%d", cut), data[:cut], evs, prefixAt(bounds, cut), true)
 	}
 }
 
-// TestV2BitFlipDetected flips every byte of a v2 trace body in turn;
-// strict replay must reject each mutant and salvage must never panic.
+// TestV2BitFlipDetected flips every byte of a v2 trace body in turn:
+// each mutant fails at exactly the frame holding the flipped byte, in
+// strict and salvage mode alike.
 func TestV2BitFlipDetected(t *testing.T) {
 	evs := testEvents(20)
 	data := writeV2(t, evs, nil, 6)
-	devNull := event.SinkFunc(func(event.Event) {})
+	bounds := frameBoundaries(t, data)
 	for i := 8; i < len(data); i++ {
 		mut := bytes.Clone(data)
 		mut[i] ^= 0x40
-		if _, _, err := Replay(bytes.NewReader(mut), devNull); err == nil {
-			t.Fatalf("flip at %d: strict replay accepted a corrupted trace", i)
-		}
-		if _, _, err := Salvage(bytes.NewReader(mut), devNull); err != nil {
-			t.Fatalf("flip at %d: salvage errored: %v", i, err)
-		}
+		checkDamaged(t, fmt.Sprintf("flip at %d", i), mut, evs, prefixAt(bounds, i), true)
 	}
 }
 
@@ -214,22 +289,9 @@ func TestV2SymtabCheckpointSurvivesCrash(t *testing.T) {
 func TestV2TrailingGarbage(t *testing.T) {
 	evs := testEvents(10)
 	data := writeV2(t, evs, nil, 0)
+	bounds := frameBoundaries(t, data)
 	data = append(data, []byte("garbage after a clean end frame")...)
-	devNull := event.SinkFunc(func(event.Event) {})
-	if _, _, err := Replay(bytes.NewReader(data), devNull); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("strict replay of trailing garbage: err = %v, want ErrCorrupt", err)
-	}
-	var got []event.Event
-	_, info, err := Salvage(bytes.NewReader(data), collectSink(&got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Truncated {
-		t.Error("trailing garbage misreported as truncation")
-	}
-	if len(got) != len(evs) || info.BytesDropped == 0 {
-		t.Errorf("salvage: %d events, info=%v", len(got), info)
-	}
+	checkDamaged(t, "trailing garbage", data, evs, bounds[len(bounds)-1], false)
 }
 
 func TestV1RoundTripCompat(t *testing.T) {

@@ -64,7 +64,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
 
 	"heapmd/internal/event"
 )
@@ -165,8 +164,6 @@ type Writer struct {
 	cdc     codec        // v3: nil = never compress
 	frames  int          // event frames since the last symtab checkpoint
 	sym     *event.Symtab
-	pl      *encodePipeline // non-nil: v3 batches encode on a worker pool
-	pevs    *event.Batch    // pipelined path's pending batch (from pl's pool)
 	// hdr is the frame-header scratch. A local array would be moved to
 	// the heap on every writeFrame call (bufio may hand the slice to
 	// the underlying io.Writer, so it escapes); keeping it on the
@@ -186,11 +183,8 @@ type WriterOptions struct {
 	// frame is stored compressed only when that is actually smaller,
 	// and replay output is identical either way. Only valid with v3.
 	Compress bool
-	// Workers moves v3 frame encoding (columnar encode + flate) off
-	// the Emit path onto a pool of that many goroutines, with a single
-	// ordered writer performing all I/O. Output is byte-identical to
-	// the synchronous writer at any worker count. Zero means
-	// synchronous; negative is treated as zero. Only valid with v3.
+
+	// Deprecated: ignored; kept so perfbench compiles — remove in the next benchmark PR
 	Workers int
 }
 
@@ -212,9 +206,6 @@ func NewWriterWith(w io.Writer, opts WriterOptions) (*Writer, error) {
 	if opts.Compress && v != VersionV3 {
 		return nil, errors.New("trace: compression requires format v3")
 	}
-	if opts.Workers > 0 && v != VersionV3 {
-		return nil, errors.New("trace: encode workers require format v3")
-	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if err := writeHeader(bw, v); err != nil {
 		return nil, err
@@ -225,10 +216,6 @@ func NewWriterWith(w io.Writer, opts WriterOptions) (*Writer, error) {
 	}
 	if opts.Compress {
 		tw.cdc = &flateCodec{}
-	}
-	if opts.Workers > 0 {
-		tw.pl = newEncodePipeline(bw, opts.Compress, opts.Workers)
-		tw.pevs = <-tw.pl.freeBatch
 	}
 	return tw, nil
 }
@@ -258,14 +245,6 @@ func (tw *Writer) Emit(e event.Event) {
 		return
 	}
 	if tw.version == VersionV3 {
-		if tw.pl != nil {
-			tw.pevs.Append(e)
-			tw.n++
-			if tw.pevs.Len() >= DefaultBatchRecords {
-				tw.flushBatch()
-			}
-			return
-		}
 		tw.evs.Append(e)
 		tw.n++
 		if tw.evs.Len() >= DefaultBatchRecords {
@@ -295,11 +274,6 @@ func (tw *Writer) flushBatch() {
 		return
 	}
 	switch {
-	case tw.pl != nil:
-		if tw.pevs.Len() == 0 {
-			return
-		}
-		tw.pevs = tw.pl.submitEvents(tw.pevs)
 	case tw.version == VersionV3 && tw.evs.Len() > 0:
 		payload := tw.encodeEventsV3()
 		if tw.err != nil {
@@ -315,12 +289,7 @@ func (tw *Writer) flushBatch() {
 	}
 	tw.frames++
 	if tw.sym != nil && tw.frames >= DefaultCheckpointFrames {
-		payload := encodeSymtab(tw.sym)
-		if tw.pl != nil {
-			tw.pl.submitFrame(frameSymtab, payload)
-		} else {
-			tw.writeFrame(frameSymtab, payload)
-		}
+		tw.writeFrame(frameSymtab, encodeSymtab(tw.sym))
 		tw.frames = 0
 	}
 }
@@ -377,12 +346,6 @@ func (tw *Writer) Events() uint64 { return tw.n }
 // Writer remains usable.
 func (tw *Writer) Flush() error {
 	tw.flushBatch()
-	if tw.pl != nil {
-		if err := tw.pl.flush(); err != nil && tw.err == nil {
-			tw.err = err
-		}
-		return tw.err
-	}
 	if tw.err == nil {
 		tw.err = tw.w.Flush()
 	}
@@ -395,28 +358,11 @@ func (tw *Writer) Flush() error {
 // symbols).
 func (tw *Writer) Close(sym *event.Symtab) error {
 	if tw.err != nil {
-		if tw.pl != nil {
-			// The pipeline's goroutines must not outlive the Writer even
-			// on the sticky-error path.
-			tw.pl.close()
-			tw.pl = nil
-		}
 		return tw.err
 	}
 	tw.flushBatch()
 	if sym == nil {
 		sym = tw.sym
-	}
-	if tw.pl != nil {
-		var end [8]byte
-		binary.LittleEndian.PutUint64(end[:], tw.n)
-		tw.pl.submitFrame(frameSymtab, encodeSymtab(sym))
-		tw.pl.submitFrame(frameEnd, end[:])
-		if err := tw.pl.close(); err != nil && tw.err == nil {
-			tw.err = err
-		}
-		tw.pl = nil
-		return tw.err
 	}
 	tw.writeFrame(frameSymtab, encodeSymtab(sym))
 	var end [8]byte
@@ -492,9 +438,8 @@ func decodeRecord(b []byte) event.Event {
 // Stats describes the physical shape of a replayed trace: which
 // format it was written in and what the bytes cost per event — the
 // numbers the replay CLI surfaces and the trace-size regression gate
-// checks. Populated via ReadOptions.Stats; identical between the
-// synchronous and read-ahead readers, and in salvage mode covers the
-// recovered prefix.
+// checks. Populated via ReadOptions.Stats; in salvage mode it covers
+// the recovered prefix.
 type Stats struct {
 	// Version is the format version from the trace header.
 	Version uint32
@@ -511,22 +456,11 @@ type Stats struct {
 	// RawEventBytes sums what those payloads occupy uncompressed —
 	// equal to StoredEventBytes when no frame is compressed.
 	RawEventBytes uint64
-	// DecodeWorkers is the decode parallelism replay actually used: 0
-	// for the synchronous reader, 1 for the fused read-ahead goroutine,
-	// n ≥ 2 for the scanner + n-worker pipeline. The only Stats field
-	// that may legitimately differ between reader configurations; all
-	// trace-shape fields above are identical at any worker count.
-	DecodeWorkers int
-	// ScannerStalls counts the times the pipeline's framing scanner had
-	// a frame ready but no recycled buffer to scan it into — the
-	// consumer side (decode + sink) is the bottleneck. Pipeline only.
-	ScannerStalls uint64
-	// ResequencerStalls counts decoded frames that arrived at the
-	// resequencer out of order and had to wait for an earlier frame —
-	// decode-worker skew; large values with an idle sink mean one slow
-	// frame (or worker) is gating delivery. Pipeline only.
-	ResequencerStalls uint64
 
+	// Deprecated: ignored; kept so perfbench compiles — remove in the next benchmark PR
+	ScannerStalls uint64
+	// Deprecated: ignored; kept so perfbench compiles — remove in the next benchmark PR
+	ResequencerStalls uint64
 	// Deprecated: ignored; kept so perfbench compiles — remove in the next benchmark PR
 	SpeculationHits uint64
 	// Deprecated: ignored; kept so perfbench compiles — remove in the next benchmark PR
@@ -535,18 +469,6 @@ type Stats struct {
 	PreResolveStalls uint64
 	// Deprecated: ignored; kept so perfbench compiles — remove in the next benchmark PR
 	MutatorStalls uint64
-}
-
-// shape strips the reader-configuration fields, leaving only the
-// trace-shape accounting that must be identical across the
-// synchronous, read-ahead, and parallel readers — what equivalence
-// tests compare.
-func (s *Stats) shape() Stats {
-	c := *s
-	c.DecodeWorkers = 0
-	c.ScannerStalls = 0
-	c.ResequencerStalls = 0
-	return c
 }
 
 // BytesPerEvent is the trace's whole-file storage cost per event.
@@ -566,37 +488,8 @@ func (s *Stats) CompressionRatio() float64 {
 	return float64(s.RawEventBytes) / float64(s.StoredEventBytes)
 }
 
-// DefaultDecodeWorkers is the recommended ReadOptions.DecodeWorkers
-// for this host: one decode worker per usable core on a multi-core
-// box, and the synchronous reader (0) on a single core, where any
-// pipeline — including the single-goroutine read-ahead — only
-// adds channel overhead for decode work the lone core must do anyway.
-func DefaultDecodeWorkers() int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 0
-}
-
-// ReadOptions configure the replay fast path; the zero value is the
-// default synchronous reader.
+// ReadOptions configure replay; the zero value is plain replay.
 type ReadOptions struct {
-	// DecodeWorkers sets the frame-decode parallelism for framed
-	// (v2/v3) traces; v1 traces (unframed) always read synchronously.
-	//
-	//	0   synchronous reader (decode inline with the sink)
-	//	1   read-ahead: one goroutine CRC-checks and decodes frame N+1
-	//	    while the sink consumes frame N
-	//	n≥2 pipeline: a framing scanner fans whole frames to n workers
-	//	    (CRC + inflate + columnar decode into recycled buffers)
-	//	    and an in-order resequencer feeds the sink
-	//
-	// Delivery order, salvage behavior, and error semantics are
-	// identical to the synchronous reader at any setting — the lowest
-	// damaged frame wins, reported at the same offsets. Negative
-	// values read synchronously. See DefaultDecodeWorkers for the
-	// host heuristic; sched.ParseDecodeWorkers normalizes CLI values.
-	DecodeWorkers int
 	// Stats, when non-nil, is filled with the trace's format and size
 	// accounting as replay proceeds.
 	Stats *Stats
@@ -618,7 +511,7 @@ func Replay(r io.ReadSeeker, sink event.Sink) (*event.Symtab, uint64, error) {
 	return ReplayWith(r, sink, ReadOptions{})
 }
 
-// ReplayWith is Replay with control over the reader (see ReadOptions).
+// ReplayWith is Replay with options (see ReadOptions).
 func ReplayWith(r io.ReadSeeker, sink event.Sink, opts ReadOptions) (*event.Symtab, uint64, error) {
 	sym, n, _, err := replay(r, sink, false, opts)
 	return sym, n, err
@@ -632,7 +525,7 @@ func Salvage(r io.ReadSeeker, sink event.Sink) (*event.Symtab, *SalvageInfo, err
 	return SalvageWith(r, sink, ReadOptions{})
 }
 
-// SalvageWith is Salvage with control over the reader (see ReadOptions).
+// SalvageWith is Salvage with options (see ReadOptions).
 func SalvageWith(r io.ReadSeeker, sink event.Sink, opts ReadOptions) (*event.Symtab, *SalvageInfo, error) {
 	sym, _, info, err := replay(r, sink, true, opts)
 	return sym, info, err
@@ -670,54 +563,87 @@ func replay(r io.ReadSeeker, sink event.Sink, salvage bool, opts ReadOptions) (*
 	}
 }
 
-// frameBuf is the reusable scratch storage for one decoded frame: the
-// raw payload bytes and, for event frames, the decoded records. Both
-// are recycled across frames, so steady-state frame decoding performs
-// no allocation.
-type frameBuf struct {
-	payload []byte
-	events  event.Batch
-}
-
-// frameMsg is one fully-validated, fully-decoded frame (or the reason
-// decoding stopped). Exactly one terminal message ends every stream:
-// either err != nil, or kind == frameEnd.
+// frameMsg is one fully-validated, fully-decoded frame, or the reason
+// decoding stopped (err != nil).
 type frameMsg struct {
 	kind       byte
-	seq        uint64        // frame sequence number (parallel resequencing)
-	events     []event.Event // frameEvents: decoded records (alias buf.events)
+	events     []event.Event // frameEvents: decoded records (borrowed from the decoder)
 	sym        *event.Symtab // frameSymtab: decoded checkpoint
 	declared   uint64        // frameEnd: writer's event count
-	end        int64         // offset consumed through the last fully-valid frame
-	buf        *frameBuf     // must be recycled by the consumer (nil on error paths)
 	err        error         // corruption, message-compatible with strict mode
 	stored     int           // frameEvents: on-disk payload bytes
 	raw        int           // frameEvents: payload bytes before compression
 	compressed bool          // frameEvents: body was stored flate-compressed
 }
 
-// payloadDecoder turns one CRC-valid frame payload into a frameMsg.
-// It is the version-specific half of frame decoding, shared by the
-// serial frameDecoder and by each parallel decode worker; its decomp
-// and flate state are reused across frames, so one instance belongs
-// to exactly one goroutine.
-type payloadDecoder struct {
+// frameDecoder reads, CRC-checks, and decodes v2/v3 frames in order.
+// Its payload, batch, decompression and flate scratch are reused
+// across frames, so steady-state frame decoding performs no
+// allocation.
+type frameDecoder struct {
+	br      *bufio.Reader
 	version uint32
-	decomp  []byte     // v3: decompressed body scratch, reused per frame
-	inflate flateCodec // v3: reusable flate state
+	offset  int64 // consumed through the last fully-valid frame
+	size    int64
+	hdr     [frameHeaderSize]byte // scratch; a local would escape via io.ReadFull
+	payload []byte                // raw frame payload, reused per frame
+	events  event.Batch           // decoded records, reused per frame
+	decomp  []byte                // v3: decompressed body scratch, reused per frame
+	inflate flateCodec            // v3: reusable flate state
 }
 
-// decodePayload validates and decodes payload into msg, filling
-// msg.kind and the kind-specific fields, or msg.err. Event records
-// decode into buf.events; the caller owns offset bookkeeping.
-func (d *payloadDecoder) decodePayload(kind byte, payload []byte, buf *frameBuf, msg *frameMsg) {
+// next decodes the next frame. On success the decoder's offset moves
+// past it; on failure the offset stays at the frame's start.
+func (d *frameDecoder) next() frameMsg {
+	var msg frameMsg
+	hdr := d.hdr[:]
+	if _, err := io.ReadFull(d.br, hdr); err != nil {
+		if err == io.EOF && d.offset == d.size {
+			// Clean EOF at a frame boundary but no end frame:
+			// the writer was killed between batches.
+			msg.err = errors.New("missing end frame")
+		} else {
+			msg.err = errors.New("truncated frame header")
+		}
+		return msg
+	}
+	kind := hdr[0]
+	payloadLen := binary.LittleEndian.Uint32(hdr[1:])
+	wantCRC := binary.LittleEndian.Uint32(hdr[5:])
+	if payloadLen > maxFramePayload {
+		msg.err = fmt.Errorf("implausible frame length %d", payloadLen)
+		return msg
+	}
+	if cap(d.payload) < int(payloadLen) {
+		// Grow geometrically: v3 frame payloads vary in size (delta
+		// content determines length), and exact-fit growth would
+		// reallocate on every slightly-larger frame.
+		d.payload = make([]byte, max(int(payloadLen), 2*cap(d.payload)))
+	}
+	payload := d.payload[:payloadLen]
+	if _, err := io.ReadFull(d.br, payload); err != nil {
+		msg.err = errors.New("truncated frame payload")
+		return msg
+	}
+	if crc32.Checksum(payload, crcTable) != wantCRC {
+		msg.err = errors.New("frame checksum mismatch")
+		return msg
+	}
+	d.decodePayload(kind, payload, &msg)
+	if msg.err == nil {
+		d.offset += int64(frameHeaderSize) + int64(payloadLen)
+	}
+	return msg
+}
+
+// decodePayload validates and decodes a CRC-valid payload into msg,
+// filling msg.kind and the kind-specific fields, or msg.err.
+func (d *frameDecoder) decodePayload(kind byte, payload []byte, msg *frameMsg) {
 	msg.kind = kind
 	switch kind {
 	case frameEvents:
 		if d.version == VersionV3 {
-			if err := d.decodeEventsV3(payload, buf, msg); err != nil {
-				msg.err = err
-			}
+			msg.err = d.decodeEventsV3(payload, msg)
 			return
 		}
 		if len(payload)%recordSize != 0 {
@@ -725,7 +651,7 @@ func (d *payloadDecoder) decodePayload(kind byte, payload []byte, buf *frameBuf,
 			return
 		}
 		n := len(payload) / recordSize
-		evs := buf.events.Grow(n)
+		evs := d.events.Grow(n)
 		for i := 0; i < n; i++ {
 			evs[i] = decodeRecord(payload[i*recordSize : (i+1)*recordSize])
 		}
@@ -750,71 +676,14 @@ func (d *payloadDecoder) decodePayload(kind byte, payload []byte, buf *frameBuf,
 	}
 }
 
-// frameDecoder reads, CRC-checks, and decodes v2/v3 frames
-// sequentially. Decoding the payload here — including symtab
-// checkpoints and v3 decompression — keeps the consumer side free of
-// mid-stream aborts, which is what lets the read-ahead goroutine
-// always run to a terminal frame and exit.
-type frameDecoder struct {
-	br     *bufio.Reader
-	offset int64 // consumed through the last fully-valid frame
-	size   int64
-	hdr    [frameHeaderSize]byte // scratch; a local would escape via io.ReadFull
-	dec    payloadDecoder
-}
-
-func (d *frameDecoder) next(buf *frameBuf) frameMsg {
-	msg := frameMsg{buf: buf, end: d.offset}
-	hdr := d.hdr[:]
-	if _, err := io.ReadFull(d.br, hdr); err != nil {
-		if err == io.EOF && d.offset == d.size {
-			// Clean EOF at a frame boundary but no end frame:
-			// the writer was killed between batches.
-			msg.err = errors.New("missing end frame")
-		} else {
-			msg.err = errors.New("truncated frame header")
-		}
-		return msg
-	}
-	kind := hdr[0]
-	payloadLen := binary.LittleEndian.Uint32(hdr[1:])
-	wantCRC := binary.LittleEndian.Uint32(hdr[5:])
-	if payloadLen > maxFramePayload {
-		msg.err = fmt.Errorf("implausible frame length %d", payloadLen)
-		return msg
-	}
-	if cap(buf.payload) < int(payloadLen) {
-		// Grow geometrically: v3 frame payloads vary in size (delta
-		// content determines length), and exact-fit growth would
-		// reallocate on every slightly-larger frame.
-		buf.payload = make([]byte, max(int(payloadLen), 2*cap(buf.payload)))
-	}
-	payload := buf.payload[:payloadLen]
-	if _, err := io.ReadFull(d.br, payload); err != nil {
-		msg.err = errors.New("truncated frame payload")
-		return msg
-	}
-	if crc32.Checksum(payload, crcTable) != wantCRC {
-		msg.err = errors.New("frame checksum mismatch")
-		return msg
-	}
-	d.dec.decodePayload(kind, payload, buf, &msg)
-	if msg.err != nil {
-		return msg
-	}
-	d.offset += int64(frameHeaderSize) + int64(payloadLen)
-	msg.end = d.offset
-	return msg
-}
-
 // v3 event-frame payload prefix: flags u8 | count u32.
 const v3EventHeaderSize = 5
 
 // decodeEventsV3 decodes a CRC-valid v3 event-frame payload into the
-// frame's reusable batch. The CRC already vouches for the bytes, so
+// decoder's reusable batch. The CRC already vouches for the bytes, so
 // any structural failure here (unknown codec, lying count, ragged
 // columns) is writer-side damage and reported as corruption.
-func (d *payloadDecoder) decodeEventsV3(payload []byte, buf *frameBuf, msg *frameMsg) error {
+func (d *frameDecoder) decodeEventsV3(payload []byte, msg *frameMsg) error {
 	if len(payload) < v3EventHeaderSize {
 		return errors.New("short event frame")
 	}
@@ -839,7 +708,7 @@ func (d *payloadDecoder) decodeEventsV3(payload []byte, buf *frameBuf, msg *fram
 		msg.raw = v3EventHeaderSize + len(body)
 		msg.compressed = true
 	}
-	evs, err := decodeColumns(body, int(count), buf.events.Grow(int(count)))
+	evs, err := decodeColumns(body, int(count), d.events.Grow(int(count)))
 	if err != nil {
 		return err
 	}
@@ -847,73 +716,22 @@ func (d *payloadDecoder) decodeEventsV3(payload []byte, buf *frameBuf, msg *fram
 	return nil
 }
 
-// readAheadDepth is how many decoded frames the read-ahead goroutine
-// may run in front of the consumer. Each in-flight frame owns its own
-// frameBuf, so depth bounds both memory and the msgs channel.
-const readAheadDepth = 4
-
 // replayFramed walks the frame sequence of a v2 or v3 trace — the
 // envelope is shared, only the event-frame payload decoding differs.
 // Strict mode demands every frame intact plus a matching end frame;
 // salvage mode stops at the first damaged frame and keeps everything
-// before it. With opts.DecodeWorkers == 1 the frameDecoder runs on
-// its own goroutine, recycling frameBufs through a channel pair; the
-// goroutine always terminates because the decoder emits exactly one
-// terminal message (error or end frame) and the consumer always reads
-// to it.
+// before it.
 func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, salvage bool, opts ReadOptions) (*event.Symtab, uint64, *SalvageInfo, error) {
-	workers := max(opts.DecodeWorkers, 0)
-	if opts.Stats != nil {
-		opts.Stats.DecodeWorkers = workers
+	dec := &frameDecoder{
+		br:      bufio.NewReaderSize(r, 1<<16),
+		version: version,
+		offset:  8,
+		size:    size,
 	}
-	var next func() frameMsg
-	var release func(*frameBuf)
-	if workers >= 2 {
-		pl := newDecodePipeline(r, version, size, workers, opts.Stats)
-		defer pl.halt()
-		next = pl.next
-		release = pl.release
-	} else if workers == 1 {
-		dec := &frameDecoder{
-			br:     bufio.NewReaderSize(r, 1<<16),
-			offset: 8,
-			size:   size,
-			dec:    payloadDecoder{version: version},
-		}
-		msgs := make(chan frameMsg, readAheadDepth)
-		recycle := make(chan *frameBuf, readAheadDepth)
-		for i := 0; i < readAheadDepth; i++ {
-			recycle <- new(frameBuf)
-		}
-		go func() {
-			for buf := range recycle {
-				m := dec.next(buf)
-				msgs <- m
-				if m.err != nil || m.kind == frameEnd {
-					return
-				}
-			}
-		}()
-		next = func() frameMsg { return <-msgs }
-		release = func(b *frameBuf) { recycle <- b }
-	} else {
-		dec := &frameDecoder{
-			br:     bufio.NewReaderSize(r, 1<<16),
-			offset: 8,
-			size:   size,
-			dec:    payloadDecoder{version: version},
-		}
-		buf := new(frameBuf)
-		next = func() frameMsg { return dec.next(buf) }
-		release = func(*frameBuf) {}
-	}
-
 	info := &SalvageInfo{Truncated: true}
 	sym := event.NewSymtab()
 	var replayed uint64
-	offset := int64(8) // consumed through the last fully-valid frame
 	var declared uint64
-	sawEnd := false
 
 	corrupt := func(format string, args ...any) (*event.Symtab, uint64, *SalvageInfo, error) {
 		if opts.Stats != nil {
@@ -921,15 +739,14 @@ func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, 
 		}
 		if salvage {
 			info.EventsRecovered = replayed
-			info.BytesDropped = uint64(size - offset)
+			info.BytesDropped = uint64(size - dec.offset)
 			return sym, replayed, info, nil
 		}
 		return sym, replayed, nil, fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 	}
 
-	for !sawEnd {
-		msg := next()
-		offset = msg.end
+	for sawEnd := false; !sawEnd; {
+		msg := dec.next()
 		if msg.err != nil {
 			return corrupt("%s", msg.err)
 		}
@@ -951,7 +768,6 @@ func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, 
 			declared = msg.declared
 			sawEnd = true
 		}
-		release(msg.buf)
 	}
 	if opts.Stats != nil {
 		opts.Stats.Events = replayed
@@ -959,7 +775,7 @@ func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, 
 	if declared != replayed {
 		return corrupt("end frame declares %d events, replayed %d", declared, replayed)
 	}
-	if offset != size {
+	if offset := dec.offset; offset != size {
 		// Bytes after a valid end frame: a concatenation accident or
 		// scribbling. The prefix through the end frame is intact.
 		if salvage {

@@ -273,8 +273,6 @@ func BenchmarkWriterEmit(b *testing.B) {
 		{"v2", WriterOptions{Version: Version}},
 		{"v3", WriterOptions{Version: VersionV3}},
 		{"v3-flate", WriterOptions{Version: VersionV3, Compress: true}},
-		{"v3-workers", WriterOptions{Version: VersionV3, Workers: 2}},
-		{"v3-flate-workers", WriterOptions{Version: VersionV3, Compress: true, Workers: 2}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var cw countingWriter

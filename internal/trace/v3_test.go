@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -34,30 +35,6 @@ func writeV3(t testing.TB, evs []event.Event, sym *event.Symtab, flushEvery int,
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// frameBoundariesV3 walks a well-formed v3 trace and returns, per
-// frame end, the byte offset and cumulative durable event count — the
-// v3 counterpart of frameBoundaries (v3 event counts live in the
-// payload's count field, not in payloadLen/recordSize).
-func frameBoundariesV3(t *testing.T, data []byte) []boundary {
-	t.Helper()
-	var bounds []boundary
-	off := 8
-	var events uint64
-	for off < len(data) {
-		if off+frameHeaderSize > len(data) {
-			t.Fatalf("ragged frame header at %d", off)
-		}
-		kind := data[off]
-		payloadLen := int(binary.LittleEndian.Uint32(data[off+1:]))
-		if kind == frameEvents {
-			events += uint64(binary.LittleEndian.Uint32(data[off+frameHeaderSize+1:]))
-		}
-		off += frameHeaderSize + payloadLen
-		bounds = append(bounds, boundary{offset: off, events: events})
-	}
-	return bounds
 }
 
 // v3TestEvents builds an event mix with the clustering real traces
@@ -183,89 +160,79 @@ func TestV3IncompressibleStaysRaw(t *testing.T) {
 	}
 }
 
+// v3DamageCase is one trace the v3 damage tests cut and flip: a
+// short trace damaged at every offset, or a many-frame one (92 event
+// frames, far more than a symtab checkpoint interval, each of them
+// compressed under flate) damaged at a stride.
+type v3DamageCase struct {
+	name       string
+	evs        []event.Event
+	flushEvery int
+	compress   bool
+	stride     int
+}
+
+func v3DamageCases(short, flushEvery int) []v3DamageCase {
+	few, many := v3TestEvents(short), v3TestEvents(3*DefaultBatchRecords+17)
+	return []v3DamageCase{
+		{"raw", few, flushEvery, false, 1},
+		{"flate", few, flushEvery, true, 1},
+		{"raw-many-frames", many, 17, false, 7},
+		{"flate-many-frames", many, 17, true, 7},
+	}
+}
+
+func (tc v3DamageCase) write(t *testing.T) []byte {
+	sym := event.NewSymtab()
+	sym.Intern("fn")
+	return writeV3(t, tc.evs, sym, tc.flushEvery, tc.compress)
+}
+
 // TestV3TruncationAtEveryOffset is the v3 crash-safety acceptance
 // test, mirroring TestV2TruncationAtEveryOffset: cut anywhere, and
 // salvage recovers exactly the events of every complete frame before
-// the cut — compressed or not.
+// the cut — compressed or not — while strict replay fails after the
+// same prefix, with the same Stats.
 func TestV3TruncationAtEveryOffset(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		name := "raw"
-		if compress {
-			name = "flate"
-		}
-		t.Run(name, func(t *testing.T) {
-			sym := event.NewSymtab()
-			sym.Intern("fn")
-			evs := v3TestEvents(60)
-			data := writeV3(t, evs, sym, 5, compress)
-			bounds := frameBoundariesV3(t, data)
-
-			expectAt := func(cut int) (uint64, int) {
-				best := boundary{offset: 8}
-				for _, b := range bounds {
-					if b.offset <= cut && b.offset > best.offset {
-						best = b
-					}
-				}
-				return best.events, best.offset
-			}
-			for cut := 8; cut < len(data); cut++ {
-				var got []event.Event
-				_, info, err := Salvage(bytes.NewReader(data[:cut]), collectSink(&got))
-				if err != nil {
-					t.Fatalf("cut=%d: salvage failed: %v", cut, err)
-				}
-				wantEvents, wantOffset := expectAt(cut)
-				if info.EventsRecovered != wantEvents || uint64(len(got)) != wantEvents {
-					t.Fatalf("cut=%d: recovered %d events, want %d", cut, info.EventsRecovered, wantEvents)
-				}
-				if !info.Truncated {
-					t.Fatalf("cut=%d: truncation not reported", cut)
-				}
-				if info.BytesDropped != uint64(cut-wantOffset) {
-					t.Fatalf("cut=%d: dropped %d bytes, want %d", cut, info.BytesDropped, cut-wantOffset)
-				}
-				for i := range got {
-					if got[i] != evs[i] {
-						t.Fatalf("cut=%d: event %d corrupted in salvage", cut, i)
-					}
-				}
-				if _, _, err := Replay(bytes.NewReader(data[:cut]), event.SinkFunc(func(event.Event) {})); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("cut=%d: strict replay err = %v, want ErrCorrupt", cut, err)
-				}
+	for _, tc := range v3DamageCases(60, 5) {
+		t.Run(tc.name, func(t *testing.T) {
+			data := tc.write(t)
+			bounds := frameBoundaries(t, data)
+			for cut := 8; cut < len(data); cut += tc.stride {
+				checkDamaged(t, fmt.Sprintf("cut=%d", cut), data[:cut], tc.evs, prefixAt(bounds, cut), true)
 			}
 		})
 	}
 }
 
 // TestV3BitFlipDetected flips every body byte of v3 traces (raw and
-// compressed): strict replay must reject each mutant, salvage must
-// never panic and must only ever deliver a prefix of the true events.
+// compressed): each mutant fails at exactly the frame holding the
+// flipped byte, in strict and salvage mode alike, with the Stats of
+// the intact prefix.
 func TestV3BitFlipDetected(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		name := "raw"
-		if compress {
-			name = "flate"
-		}
-		t.Run(name, func(t *testing.T) {
-			evs := v3TestEvents(40)
-			data := writeV3(t, evs, nil, 6, compress)
-			for i := 8; i < len(data); i++ {
+	for _, tc := range v3DamageCases(40, 6) {
+		t.Run(tc.name, func(t *testing.T) {
+			data := tc.write(t)
+			bounds := frameBoundaries(t, data)
+			for i := 8; i < len(data); i += tc.stride {
 				mut := bytes.Clone(data)
 				mut[i] ^= 0x40
-				if _, _, err := Replay(bytes.NewReader(mut), event.SinkFunc(func(event.Event) {})); err == nil {
-					t.Fatalf("flip at %d: strict replay accepted a corrupted trace", i)
-				}
-				var got []event.Event
-				if _, _, err := Salvage(bytes.NewReader(mut), collectSink(&got)); err != nil {
-					t.Fatalf("flip at %d: salvage errored: %v", i, err)
-				}
-				for j := range got {
-					if got[j] != evs[j] {
-						t.Fatalf("flip at %d: salvage delivered corrupted event %d", i, j)
-					}
-				}
+				checkDamaged(t, fmt.Sprintf("flip at %d", i), mut, tc.evs, prefixAt(bounds, i), true)
 			}
+		})
+	}
+}
+
+// TestV3TrailingGarbage: bytes after a valid end frame make strict
+// replay fail after delivering every event, and salvage keep the whole
+// trace, report the garbage as dropped, and not call it truncated.
+func TestV3TrailingGarbage(t *testing.T) {
+	for _, tc := range v3DamageCases(60, 5) {
+		t.Run(tc.name, func(t *testing.T) {
+			data := tc.write(t)
+			bounds := frameBoundaries(t, data)
+			data = append(data, 0xde, 0xad, 0xbe, 0xef)
+			checkDamaged(t, "trailing garbage", data, tc.evs, bounds[len(bounds)-1], false)
 		})
 	}
 }
@@ -342,62 +309,6 @@ func TestV3StructuralCorruption(t *testing.T) {
 	}
 }
 
-// TestV3SingleDecodeWorkerEquivalence mirrors
-// TestSingleDecodeWorkerEquivalence for v3 (raw and compressed):
-// identical events, errors and SalvageInfo between the synchronous and
-// read-ahead readers, plus identical Stats, on clean, truncated and
-// bit-flipped traces.
-func TestV3SingleDecodeWorkerEquivalence(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		sym := event.NewSymtab()
-		sym.Intern("alpha")
-		evs := v3TestEvents(4 * DefaultBatchRecords)
-		clean := writeV3(t, evs, sym, DefaultBatchRecords, compress)
-
-		variants := [][]byte{clean}
-		for cut := 9; cut < len(clean); cut += 97 {
-			variants = append(variants, clean[:cut])
-		}
-		flipped := bytes.Clone(clean)
-		flipped[len(flipped)/2] ^= 0x40
-		variants = append(variants, flipped)
-
-		for vi, data := range variants {
-			var syncEvents, raEvents []event.Event
-			var syncStats, raStats Stats
-			_, syncN, syncErr := ReplayWith(bytes.NewReader(data), collectSink(&syncEvents), ReadOptions{Stats: &syncStats})
-			_, raN, raErr := ReplayWith(bytes.NewReader(data), collectSink(&raEvents), ReadOptions{DecodeWorkers: 1, Stats: &raStats})
-			if (syncErr == nil) != (raErr == nil) ||
-				(syncErr != nil && syncErr.Error() != raErr.Error()) {
-				t.Fatalf("compress=%v variant %d: sync err %v, readahead err %v", compress, vi, syncErr, raErr)
-			}
-			if syncN != raN || len(syncEvents) != len(raEvents) {
-				t.Fatalf("compress=%v variant %d: sync %d events, readahead %d", compress, vi, syncN, raN)
-			}
-			for i := range syncEvents {
-				if syncEvents[i] != raEvents[i] {
-					t.Fatalf("compress=%v variant %d: event %d differs", compress, vi, i)
-				}
-			}
-			// DecodeWorkers legitimately differs between the readers;
-			// every trace-shape field must match.
-			if syncStats.shape() != raStats.shape() {
-				t.Fatalf("compress=%v variant %d: stats %+v vs %+v", compress, vi, syncStats, raStats)
-			}
-
-			var syncSalv, raSalv []event.Event
-			_, syncInfo, err1 := SalvageWith(bytes.NewReader(data), collectSink(&syncSalv), ReadOptions{})
-			_, raInfo, err2 := SalvageWith(bytes.NewReader(data), collectSink(&raSalv), ReadOptions{DecodeWorkers: 1})
-			if err1 != nil || err2 != nil {
-				t.Fatalf("compress=%v variant %d salvage: errs %v, %v", compress, vi, err1, err2)
-			}
-			if *syncInfo != *raInfo || len(syncSalv) != len(raSalv) {
-				t.Fatalf("compress=%v variant %d salvage: info %+v vs %+v", compress, vi, *syncInfo, *raInfo)
-			}
-		}
-	}
-}
-
 // TestV3Stats checks the replay accounting a clean v3 trace reports:
 // version, totals, frame counts, and a compression ratio > 1 when the
 // flate pass actually ran.
@@ -467,15 +378,6 @@ func TestWriterEmitAllocs(t *testing.T) {
 		// flate's Reset keeps its state but the stdlib may still grow
 		// internal tables once; allow a few allocs, nothing per frame.
 		{"v3-flate", WriterOptions{Version: VersionV3, Compress: true}, 8},
-		// The encode pipeline's state is O(workers), never O(frames),
-		// but some of it materializes lazily under load: the 2-frame
-		// run may exercise one worker while the 128-frame run warms
-		// both (payload arenas, per-worker flate state), and channel
-		// parks add runtime noise. The slack covers that one-time
-		// warm-up; 126 extra frames of per-frame allocation would blow
-		// far past it.
-		{"v3-workers-2", WriterOptions{Version: VersionV3, Workers: 2}, 32},
-		{"v3-flate-workers-2", WriterOptions{Version: VersionV3, Compress: true, Workers: 2}, 64},
 	} {
 		aSmall, aLarge := measure(tc.opts, 2), measure(tc.opts, 128)
 		if aLarge > aSmall+tc.slack {

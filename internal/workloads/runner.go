@@ -89,21 +89,18 @@ func RunLogged(w Workload, in Input, cfg RunConfig) (*logger.Report, *prog.Proce
 }
 
 // Train runs w on n training inputs and returns their reports, in
-// input order. With cfg.Parallel beyond 1 the runs execute on a
-// bounded worker pool (see internal/sched); every run owns a fresh
-// process and logger, so the reports — and on failure, the error — are
-// bit-identical to a serial loop. Shared Observers or ExtraSinks would
+// input order. With cfg.Parallel above 1, or negative, the runs
+// execute on a bounded worker pool (see internal/sched); every run
+// owns a fresh process and logger, so the reports — and on failure,
+// the error — are bit-identical to a serial loop. Shared Observers or ExtraSinks would
 // be mutated from multiple runs at once, so their presence forces the
 // serial path.
 func Train(w Workload, n int, cfg RunConfig) ([]*logger.Report, error) {
 	inputs := w.Inputs(n)
 	workers := cfg.Parallel
-	if workers < 0 {
-		workers = sched.Workers(0)
-	}
 	// cfg.Record stays parallel: it constructs fresh per-run state
 	// inside each worker rather than sharing an object across runs.
-	if workers == 0 || len(cfg.Observers) > 0 || len(cfg.ExtraSinks) > 0 {
+	if len(cfg.Observers) > 0 || len(cfg.ExtraSinks) > 0 {
 		workers = 1
 	}
 	return sched.Map(workers, len(inputs), func(i int) (*logger.Report, error) {
