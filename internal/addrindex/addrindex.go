@@ -32,6 +32,15 @@
 // side list instead — semantics are identical, and well-formed
 // workloads never hit it.
 //
+// The table also remembers which bases were freed: Remove sets a
+// base's bit in a per-chunk bitmap (one bit per 8-byte-aligned base)
+// and Insert clears it, so Freed tells a double free (a base that was
+// live and is not again) from a wild free (a base that never was). A
+// small map holds the bits of unaligned bases, which only damaged
+// traces and odd allocators produce. Keying by base alone makes a
+// realloc, a Remove followed by an Insert, leave exactly the old base
+// freed when the block moved and nothing freed when it stayed.
+//
 // A table is reusable: Reset empties it but keeps its arena, chunk
 // directory and ref-list capacity (up to a cap), so a logger replaying
 // trace after trace stops re-growing them from zero.
@@ -53,16 +62,21 @@ const (
 	chunkShift = 9
 	chunkPages = 1 << chunkShift
 
+	// chunkBases is the number of 8-byte-aligned bases in one chunk,
+	// each with one bit of the chunk's freed bitmap.
+	chunkBases = chunkPages * pageSize / 8
+
 	// maxSpanPages bounds per-line registration work for one object;
 	// larger ranges are kept in the linear huge list.
 	maxSpanPages = 1 << 16 // 8 MiB
 
 	// Reset keeps at most this many chunks (12 KiB of ref-list headers
-	// each, 16 MiB of address space in all) and this many arena
-	// entries; a table that grew past either bound — a damaged trace
-	// scattering wild addresses, an outsized heap — drops that storage
-	// instead of pinning it for the next user. The bundled programs'
-	// heaps fit in two chunks and 2,000 entries.
+	// and a 1 KiB freed bitmap each, 16 MiB of address space in all)
+	// and this many arena entries; a table that grew past either
+	// bound — a damaged trace scattering wild addresses, an outsized
+	// heap — drops that storage instead of pinning it for the next
+	// user. The bundled programs' heaps fit in two chunks and 2,000
+	// entries.
 	maxRetainedChunks = 1 << 8
 	maxRetainedArena  = 1 << 15
 
@@ -80,9 +94,11 @@ type entry[V any] struct {
 // chunk holds the per-line object ref lists for one 64 KiB address
 // range. refs[i] lists arena indices of every live object whose range
 // intersects line i, sorted by base. A line holds a handful of objects
-// at most, so the lists stay in the small-slice regime.
+// at most, so the lists stay in the small-slice regime. freed holds
+// one bit per 8-byte-aligned base in the range (see Freed).
 type chunk struct {
-	refs [chunkPages][]int32
+	refs  [chunkPages][]int32
+	freed [chunkBases / 64]uint64
 }
 
 // Table maps disjoint [base, base+size) ranges to values of type V
@@ -95,6 +111,10 @@ type Table[V any] struct {
 	free   []int32
 	huge   []int32 // arena indices of ranges wider than maxSpanPages
 	n      int
+
+	// oddFreed holds the freed bases that are not 8-byte aligned and
+	// so have no bit in a chunk's bitmap; nil until one is freed.
+	oddFreed map[uint64]struct{}
 
 	// lastHits caches the arena indices of recent successful Stabs
 	// (noEntry when empty), most recent first. Two entries, because
@@ -122,8 +142,10 @@ func (t *Table[V]) Reset() {
 			for i := range c.refs {
 				c.refs[i] = c.refs[i][:0]
 			}
+			c.freed = [chunkBases / 64]uint64{}
 		}
 	}
+	t.oddFreed = nil // rare enough not to pool
 	if cap(t.arena) > maxRetainedArena {
 		t.arena, t.free = nil, nil
 	} else {
@@ -192,9 +214,7 @@ func isHuge(first, last, size uint64) bool {
 
 // insertRef adds arena index i into the sorted ref list of one line.
 func (t *Table[V]) insertRef(refs []int32, i int32, base uint64) []int32 {
-	pos := sort.Search(len(refs), func(k int) bool {
-		return t.arena[refs[k]].base >= base
-	})
+	pos := t.searchBase(refs, base)
 	refs = append(refs, 0)
 	copy(refs[pos+1:], refs[pos:])
 	refs[pos] = i
@@ -212,11 +232,60 @@ func removeRef(refs []int32, i int32) []int32 {
 	return refs
 }
 
-// Insert adds the range [base, base+size) with the given value. The
-// caller must guarantee the range does not overlap an existing one;
-// allocators never hand out overlapping live ranges. The returned
-// pointer refers to the stored value and remains valid until the next
-// Insert or Remove on the table.
+// freedBit returns the word and mask of aligned base's bit in its
+// chunk's freed bitmap.
+func freedBit(base uint64) (word int, mask uint64) {
+	i := (base >> 3) & (chunkBases - 1)
+	return int(i >> 6), 1 << (i & 63)
+}
+
+// setFreed records base as freed. An aligned base's chunk is created
+// if need be: a huge range registers no line, so its base chunk may
+// not exist yet.
+func (t *Table[V]) setFreed(base uint64) {
+	if base&7 != 0 {
+		if t.oddFreed == nil {
+			t.oddFreed = make(map[uint64]struct{})
+		}
+		t.oddFreed[base] = struct{}{}
+		return
+	}
+	w, m := freedBit(base)
+	t.chunkFor(base >> PageShift).freed[w] |= m
+}
+
+// clearFreed forgets that base was freed.
+func (t *Table[V]) clearFreed(base uint64) {
+	if base&7 != 0 {
+		delete(t.oddFreed, base)
+		return
+	}
+	if c := t.lookupChunk(base >> PageShift); c != nil {
+		w, m := freedBit(base)
+		c.freed[w] &^= m
+	}
+}
+
+// Freed reports whether a range based at base was removed and no range
+// has been inserted at base since (nor has the table been Reset).
+func (t *Table[V]) Freed(base uint64) bool {
+	if base&7 != 0 {
+		_, ok := t.oddFreed[base]
+		return ok
+	}
+	c := t.lookupChunk(base >> PageShift)
+	if c == nil {
+		return false
+	}
+	w, m := freedBit(base)
+	return c.freed[w]&m != 0
+}
+
+// Insert adds the range [base, base+size) with the given value and
+// clears base's freed mark. The caller must guarantee the range does
+// not overlap an existing one; allocators never hand out overlapping
+// live ranges. The returned pointer refers to the stored value and
+// remains valid until the next Insert or Remove on the table.
 func (t *Table[V]) Insert(base, size uint64, value V) *V {
 	var i int32
 	if k := len(t.free); k > 0 {
@@ -227,6 +296,7 @@ func (t *Table[V]) Insert(base, size uint64, value V) *V {
 		i = int32(len(t.arena))
 		t.arena = append(t.arena, entry[V]{base: base, size: size, value: value, live: true})
 	}
+	t.clearFreed(base)
 	first, last := pageRange(base, size)
 	if isHuge(first, last, size) {
 		t.huge = append(t.huge, i)
@@ -244,24 +314,29 @@ func (t *Table[V]) Insert(base, size uint64, value V) *V {
 	return &t.arena[i].value
 }
 
+// searchBase returns the position of the first entry of a sorted ref
+// list whose base is >= base. The binary search is hand rolled: a
+// sort.Search closure is measurable on the event hot path.
+func (t *Table[V]) searchBase(refs []int32, base uint64) int {
+	lo, hi := 0, len(refs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.arena[refs[mid]].base >= base {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // findExact returns the arena index of the range based exactly at
 // base, or noEntry.
 func (t *Table[V]) findExact(base uint64) int32 {
 	c := t.lookupChunk(base >> PageShift)
 	if c != nil {
 		refs := c.refs[(base>>PageShift)&(chunkPages-1)]
-		// Binary search for the first entry with base >= target (hand
-		// rolled: the sort.Search closure is measurable on the event
-		// hot path), then check for an exact base match.
-		lo, hi := 0, len(refs)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if t.arena[refs[mid]].base >= base {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
+		lo := t.searchBase(refs, base)
 		if lo < len(refs) && t.arena[refs[lo]].base == base {
 			return refs[lo]
 		}
@@ -285,14 +360,16 @@ func (t *Table[V]) Get(base uint64) *V {
 	return &t.arena[i].value
 }
 
-// Remove deletes the range based exactly at base, returning its value
-// and whether an entry was removed.
+// Remove deletes the range based exactly at base and marks base freed,
+// returning its value and whether an entry was removed. A miss changes
+// nothing.
 func (t *Table[V]) Remove(base uint64) (V, bool) {
 	i := t.findExact(base)
 	if i == noEntry {
 		var zero V
 		return zero, false
 	}
+	t.setFreed(base)
 	e := &t.arena[i]
 	first, last := pageRange(e.base, e.size)
 	if isHuge(first, last, e.size) {

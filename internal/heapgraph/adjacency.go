@@ -69,7 +69,8 @@ func (a *adjacency) inc(id VertexID) int32 {
 		a.n++
 		return 1
 	}
-	// Fifth distinct neighbour: spill the inline entries to a map.
+	// Distinct neighbour inlineNeighbors+1 (the ninth): spill the
+	// inline entries to a map.
 	m := make(map[VertexID]int32, 2*inlineNeighbors)
 	for i := range a.inline {
 		m[a.inline[i].id] = a.inline[i].mult

@@ -232,14 +232,14 @@ func (g *Graph) CheckInvariants() string {
 		edges += out
 	}
 	for b := 0; b < maxTracked+2; b++ {
-		if inHist[b] != g.counts.sumIn(b) {
+		if inHist[b] != g.inHist[b] {
 			return "indegree histogram mismatch"
 		}
-		if outHist[b] != g.counts.sumOut(b) {
+		if outHist[b] != g.outHist[b] {
 			return "outdegree histogram mismatch"
 		}
 	}
-	if eq != g.counts.sumEq() {
+	if eq != g.eq {
 		return "in==out counter mismatch"
 	}
 	if edges != g.NumEdges() {

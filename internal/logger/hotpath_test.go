@@ -91,3 +91,103 @@ func BenchmarkEmitBatch(b *testing.B) {
 	}
 	b.SetBytes(int64(perBatch))
 }
+
+// allocFreeWorkload builds a settled population of n objects at the
+// given granularity and returns it with a step function that emits
+// one round of steady-state alloc/free traffic: a free and re-alloc at
+// the same (recycled) base, a free and alloc at a fresh base, and
+// every fourth round a double free and a wild free. A round is 4 or 6
+// events; step reports how many it emitted.
+func allocFreeWorkload(n int, gran Granularity) (*Logger, func(round int) int) {
+	const size = 48
+	l := New(Options{Frequency: 1 << 62, Granularity: gran})
+	addrs := make([]uint64, n)
+	next := uint64(0x100_0000_0000)
+	fresh := func() uint64 {
+		a := next
+		next += 64
+		return a
+	}
+	for i := range addrs {
+		addrs[i] = fresh()
+		l.Emit(event.Event{Type: event.Alloc, Addr: addrs[i], Size: size, Fn: 1})
+	}
+	// A bounded ring of fresh bases: "fresh" means not the base just
+	// freed, while the address range (and so the table's chunks) stays
+	// fixed once warmed.
+	const ring = 1 << 14
+	spare := make([]uint64, 0, ring)
+	for len(spare) < ring {
+		spare = append(spare, fresh())
+	}
+	step := func(round int) int {
+		k := (round * 17) & (n - 1)
+		l.Emit(event.Event{Type: event.Free, Addr: addrs[k]})
+		l.Emit(event.Event{Type: event.Alloc, Addr: addrs[k], Size: size, Fn: 1})
+		j := (round*31 + 7) & (n - 1)
+		old := addrs[j]
+		l.Emit(event.Event{Type: event.Free, Addr: old})
+		addrs[j] = spare[round&(ring-1)]
+		spare[round&(ring-1)] = old
+		l.Emit(event.Event{Type: event.Alloc, Addr: addrs[j], Size: size, Fn: 1})
+		if round%4 != 0 {
+			return 4
+		}
+		l.Emit(event.Event{Type: event.Free, Addr: old})                               // double free
+		l.Emit(event.Event{Type: event.Free, Addr: 0x300_0000_0000 + uint64(round)*8}) // wild free
+		return 6
+	}
+	return l, step
+}
+
+// TestAllocFreeHotPathAllocs is the allocation budget for the alloc
+// and free apply path, enforced in CI: once warmed, steady-state
+// alloc/free traffic with double and wild frees must average at most
+// 0.1 heap allocations per event at both granularities. A regression
+// means a per-object structure (info record, word-vertex slice, freed
+// set, vertex slot) went back to allocating per event.
+func TestAllocFreeHotPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the hot path")
+	}
+	for _, gran := range []Granularity{ObjectGranularity, FieldGranularity} {
+		t.Run(gran.String(), func(t *testing.T) {
+			l, step := allocFreeWorkload(4096, gran)
+			defer l.Release()
+			round, events := 0, 0
+			for ; round < 1<<15; round++ { // warm-up: every base recycled
+				step(round)
+			}
+			const runs = 4000
+			avg := testing.AllocsPerRun(runs, func() {
+				events += step(round)
+				round++
+			})
+			// AllocsPerRun calls f once more, unmeasured, to warm up.
+			perEvent := avg / (float64(events) / (runs + 1))
+			if perEvent > 0.1 {
+				t.Fatalf("alloc/free hot path allocates %.3f times per event; budget is 0.1", perEvent)
+			}
+		})
+	}
+}
+
+// BenchmarkAllocFree measures the steady-state alloc/free apply path;
+// ns/op is per event.
+func BenchmarkAllocFree(b *testing.B) {
+	for _, gran := range []Granularity{ObjectGranularity, FieldGranularity} {
+		b.Run(gran.String(), func(b *testing.B) {
+			l, step := allocFreeWorkload(4096, gran)
+			defer l.Release()
+			round := 0
+			for ; round < 1<<15; round++ {
+				step(round)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for events := 0; events < b.N; round++ {
+				events += step(round)
+			}
+		})
+	}
+}

@@ -8,8 +8,9 @@
 //   - The logger maintains its own image of heap connectivity rather
 //     than traversing the program's heap, "preserving cache-locality";
 //     here that translates to the logger holding an independent
-//     line-indexed object table (addrindex.Table) and per-object
-//     edge-slot tables, driven purely by events.
+//     line-indexed object table (addrindex.Table) over an arena of
+//     per-object records with edge-slot tables, driven purely by
+//     events.
 //   - Metric computation points are function entries; metrics are
 //     computed once every Frequency entries (paper: frq = 1/100,000).
 //   - The heap-graph is built at object granularity by default. Field
@@ -107,9 +108,11 @@ type SampleObserver interface {
 	Sample(snap metrics.Snapshot, stack *callstack.Tracker)
 }
 
-// objInfo is the logger's record of one live heap object. It is
-// stored by value inside the address table's arena; pointers obtained
-// from Stab/Get are valid until the table's next Insert or Remove.
+// objInfo is the logger's record of one live heap object. It lives in
+// the logger's info arena; the address table maps the object's range to
+// its 4-byte arena index, so alloc, free and realloc move the index
+// through the table instead of copying the record in and out. A
+// pointer into the arena is valid until the next newInfo.
 type objInfo struct {
 	vertex heapgraph.VertexID // object-granularity vertex
 	// slots records which offsets within the object currently hold a
@@ -118,7 +121,9 @@ type objInfo struct {
 	// but the source vertex is the slot's own word vertex.
 	slots slotTable
 	// wordVertices holds per-word vertex IDs at field granularity;
-	// nil at object granularity.
+	// nil at object granularity. A recycled record keeps its capacity
+	// (up to maxRetainedWords), so steady-state field-granularity
+	// churn allocates nothing.
 	wordVertices []heapgraph.VertexID
 }
 
@@ -175,19 +180,19 @@ type Logger struct {
 	opts  Options
 	suite metrics.Suite
 
-	graph   *heapgraph.Graph
-	objects *addrindex.Table[objInfo]
-	stack   *callstack.Tracker
+	graph *heapgraph.Graph
+	// objects maps each live object's range to its index in infos, and
+	// remembers freed bases (double-free versus wild-free evidence).
+	objects   *addrindex.Table[int32]
+	infos     []objInfo
+	freeInfos []int32 // recycled indices into infos
+	stack     *callstack.Tracker
 
 	vertexSeq uint64 // vertex ID generator (generation counter)
 	fnEntries uint64
 	events    uint64
 	tick      uint64 // metric computation points taken so far
 
-	// freed remembers base addresses that were live and then freed
-	// (and not since recycled), so a miss in onFree can be
-	// classified as a double free rather than a wild free.
-	freed  map[uint64]struct{}
 	health health.Counters
 
 	snaps       []metrics.Snapshot
@@ -202,13 +207,14 @@ type Logger struct {
 }
 
 // pool holds released loggers whose graph, address table, call stack
-// and freed set have been Reset, so the next New reuses their
+// and info arena have been Reset, so the next New reuses their
 // capacity instead of growing fresh arenas from zero.
 var pool sync.Pool
 
-// maxRetainedFreed bounds the freed-address set Release keeps for
-// reuse; a larger one is dropped instead of pinned.
-const maxRetainedFreed = 1 << 15
+// maxRetainedInfos bounds the info arena (~140 bytes a record) Release
+// keeps for reuse; a larger one is dropped instead of pinned. The
+// bundled programs peak below 3,000 live objects.
+const maxRetainedInfos = 1 << 14
 
 // New creates a Logger, reusing a released one when the pool has one.
 func New(opts Options) *Logger {
@@ -222,9 +228,8 @@ func New(opts Options) *Logger {
 	if l == nil {
 		l = &Logger{
 			graph:   heapgraph.New(),
-			objects: addrindex.New[objInfo](),
+			objects: addrindex.New[int32](),
 			stack:   callstack.NewTracker(),
-			freed:   make(map[uint64]struct{}),
 		}
 	}
 	l.released = false
@@ -247,13 +252,15 @@ func (l *Logger) Release() {
 	l.graph.Reset()
 	l.objects.Reset()
 	l.stack.Reset()
-	freed := l.freed
-	if len(freed) > maxRetainedFreed {
-		freed = make(map[uint64]struct{})
+	infos, freeInfos := l.infos, l.freeInfos
+	if cap(infos) > maxRetainedInfos {
+		infos, freeInfos = nil, nil
 	} else {
-		clear(freed)
+		clear(infos) // release the records' slot storage
+		infos, freeInfos = infos[:0], freeInfos[:0]
 	}
-	*l = Logger{graph: l.graph, objects: l.objects, stack: l.stack, freed: freed, released: true}
+	*l = Logger{graph: l.graph, objects: l.objects, infos: infos, freeInfos: freeInfos,
+		stack: l.stack, released: true}
 	pool.Put(l)
 }
 
@@ -358,82 +365,114 @@ func (l *Logger) newVertex() heapgraph.VertexID {
 	return heapgraph.VertexID(l.vertexSeq)
 }
 
+// newInfo claims an empty record in the info arena.
+func (l *Logger) newInfo() int32 {
+	if k := len(l.freeInfos); k > 0 {
+		i := l.freeInfos[k-1]
+		l.freeInfos = l.freeInfos[:k-1]
+		return i
+	}
+	l.infos = append(l.infos, objInfo{})
+	return int32(len(l.infos) - 1)
+}
+
+// maxRetainedWords bounds the word-vertex capacity a recycled info
+// record keeps for its next occupant.
+const maxRetainedWords = 1 << 10
+
+// freeInfo empties record i, so it pins no slot storage, and recycles
+// it.
+func (l *Logger) freeInfo(i int32) {
+	wv := l.infos[i].wordVertices[:0]
+	if cap(wv) > maxRetainedWords {
+		wv = nil
+	}
+	l.infos[i] = objInfo{wordVertices: wv}
+	l.freeInfos = append(l.freeInfos, i)
+}
+
+// field reports whether vertices are per word (field granularity).
+func (l *Logger) field() bool { return l.opts.Granularity == FieldGranularity }
+
 func (l *Logger) onAlloc(base, size uint64) {
-	var info objInfo
-	if l.opts.Granularity == FieldGranularity {
+	idx := l.newInfo()
+	info := &l.infos[idx]
+	if l.field() {
 		nWords := size / 8
-		info.wordVertices = make([]heapgraph.VertexID, nWords)
-		for i := range info.wordVertices {
+		if uint64(cap(info.wordVertices)) < nWords {
+			info.wordVertices = make([]heapgraph.VertexID, 0, nWords)
+		}
+		for range nWords {
 			v := l.newVertex()
-			info.wordVertices[i] = v
+			info.wordVertices = append(info.wordVertices, v)
 			l.graph.AddVertex(v)
 		}
 	} else {
 		info.vertex = l.newVertex()
 		l.graph.AddVertex(info.vertex)
 	}
-	l.objects.Insert(base, size, info)
-	delete(l.freed, base) // address recycled: a future free is legitimate
+	// Insert also clears base's freed mark: the address is recycled,
+	// so a future free is legitimate.
+	l.objects.Insert(base, size, idx)
 }
 
 func (l *Logger) onFree(base uint64) {
-	info, ok := l.objects.Remove(base)
+	idx, ok := l.objects.Remove(base)
 	if !ok {
 		// Nothing in the image — but that absence is evidence.
-		if _, was := l.freed[base]; was {
+		if l.objects.Freed(base) {
 			l.health.DoubleFrees++
 		} else {
 			l.health.WildFrees++
 		}
 		return
 	}
-	l.freed[base] = struct{}{}
-	if info.wordVertices != nil {
+	info := &l.infos[idx]
+	if l.field() {
 		for _, v := range info.wordVertices {
 			l.graph.RemoveVertex(v)
 		}
 	} else {
 		l.graph.RemoveVertex(info.vertex)
 	}
+	l.freeInfo(idx)
 }
 
 func (l *Logger) onRealloc(oldBase, newBase, newSize uint64) {
-	info, ok := l.objects.Remove(oldBase)
+	idx, ok := l.objects.Remove(oldBase)
 	if !ok {
 		// Realloc of a freed, never-allocated or interior address.
 		l.health.BadReallocs++
 		return
 	}
-	if newBase != oldBase {
-		l.freed[oldBase] = struct{}{} // the old placement is released
+	info := &l.infos[idx]
+	if l.field() {
+		l.reallocField(info, newSize)
+	} else {
+		// Object granularity: the vertex survives the move; slots
+		// beyond the new size lose their outgoing edges. Slot keys are
+		// offsets, so the move itself rewrites nothing.
+		info.slots.resize(newSize, func(_ uint64, target heapgraph.VertexID) {
+			l.graph.RemoveEdge(info.vertex, target)
+		})
 	}
-	delete(l.freed, newBase)
-	if info.wordVertices != nil {
-		l.reallocField(&info, newBase, newSize)
-		return
-	}
-	// Object granularity: the vertex survives the move; slots beyond
-	// the new size lose their outgoing edges. Slot keys are offsets,
-	// so the move itself rewrites nothing.
-	info.slots.resize(newSize, func(_ uint64, target heapgraph.VertexID) {
-		l.graph.RemoveEdge(info.vertex, target)
-	})
-	l.objects.Insert(newBase, newSize, info)
+	// Remove marked oldBase freed and Insert clears newBase, so the old
+	// placement stays freed only if the block moved.
+	l.objects.Insert(newBase, newSize, idx)
 }
 
-func (l *Logger) reallocField(info *objInfo, newBase, newSize uint64) {
+func (l *Logger) reallocField(info *objInfo, newSize uint64) {
 	oldWords := uint64(len(info.wordVertices))
 	newWords := newSize / 8
 	// Shrink: drop vertices past the end (their edges die with them).
 	for i := newWords; i < oldWords; i++ {
 		l.graph.RemoveVertex(info.wordVertices[i])
 	}
-	wv := make([]heapgraph.VertexID, newWords)
-	copy(wv, info.wordVertices[:min(oldWords, newWords)])
+	wv := info.wordVertices[:min(oldWords, newWords)]
 	// Grow: fresh vertices for the new words.
 	for i := oldWords; i < newWords; i++ {
 		v := l.newVertex()
-		wv[i] = v
+		wv = append(wv, v)
 		l.graph.AddVertex(v)
 	}
 	// Drop the slots whose source word vertex no longer exists — their
@@ -443,15 +482,14 @@ func (l *Logger) reallocField(info *objInfo, newBase, newSize uint64) {
 	// truncated tail word.
 	info.slots.resize(newWords*8, nil)
 	info.wordVertices = wv
-	l.objects.Insert(newBase, newSize, *info)
 }
 
 // sourceVertex returns the vertex that an edge stored at offset off
 // inside info originates from. The second return is false when the
 // offset has no vertex — the tail bytes of a field-granularity object
 // whose size is not a whole number of words.
-func sourceVertex(info *objInfo, off uint64) (heapgraph.VertexID, bool) {
-	if info.wordVertices != nil {
+func (l *Logger) sourceVertex(info *objInfo, off uint64) (heapgraph.VertexID, bool) {
+	if l.field() {
 		if i := off / 8; i < uint64(len(info.wordVertices)) {
 			return info.wordVertices[i], true
 		}
@@ -463,11 +501,12 @@ func sourceVertex(info *objInfo, off uint64) (heapgraph.VertexID, bool) {
 // targetVertex resolves a stored word to a vertex if it points into a
 // live object.
 func (l *Logger) targetVertex(value uint64) (heapgraph.VertexID, bool) {
-	base, _, info, ok := l.objects.Stab(value)
+	base, _, idx, ok := l.objects.Stab(value)
 	if !ok {
 		return 0, false
 	}
-	if info.wordVertices != nil {
+	info := &l.infos[*idx]
+	if l.field() {
 		if i := (value - base) / 8; i < uint64(len(info.wordVertices)) {
 			return info.wordVertices[i], true
 		}
@@ -477,15 +516,16 @@ func (l *Logger) targetVertex(value uint64) (heapgraph.VertexID, bool) {
 }
 
 func (l *Logger) onStore(addr, value uint64) {
-	base, size, info, ok := l.objects.Stab(addr)
+	base, size, idx, ok := l.objects.Stab(addr)
 	if !ok {
 		// Wild store: not part of the live heap image. The write is
 		// dropped, but its existence is a corruption signal.
 		l.health.WildStores++
 		return
 	}
+	info := &l.infos[*idx]
 	off := addr - base
-	src, srcOK := sourceVertex(info, off)
+	src, srcOK := l.sourceVertex(info, off)
 	if !srcOK {
 		// Inside a live object but past its last whole word — no
 		// vertex can anchor the edge, so the write cannot be applied.
@@ -498,8 +538,8 @@ func (l *Logger) onStore(addr, value uint64) {
 		info.slots.del(off)
 	}
 	// Install the new edge if the value points into a live object.
-	// targetVertex stabs the table but never inserts or removes, so
-	// the info pointer stays valid across it.
+	// targetVertex never claims an info record, so the info pointer
+	// stays valid across it.
 	if target, isPtr := l.targetVertex(value); isPtr {
 		l.graph.AddEdge(src, target)
 		info.slots.set(off, target, size)

@@ -373,16 +373,17 @@ func TestLoggerStandaloneEvents(t *testing.T) {
 	if l.Ticks() != 1 {
 		t.Fatalf("ticks = %d", l.Ticks())
 	}
+	l.Emit(event.Event{Type: event.Free, Addr: 4096}) // base 4096 is now freed
 
 	// Release resets every piece of per-run state before pooling the
 	// logger; a report taken before it stays intact.
 	rep := l.Report()
 	l.Release()
-	if len(rep.Snapshots) != 1 || rep.Events != 4 || rep.Health.WildFrees != 1 {
+	if len(rep.Snapshots) != 1 || rep.Events != 5 || rep.Health.WildFrees != 1 {
 		t.Fatalf("report changed by Release: %+v", rep)
 	}
 	if l.graph.NumVertices() != 0 || l.objects.Len() != 0 || l.stack.Depth() != 0 ||
-		len(l.freed) != 0 || l.snaps != nil || !l.health.Zero() || l.events != 0 || l.Ticks() != 0 {
+		len(l.infos) != 0 || len(l.freeInfos) != 0 || l.objects.Freed(4096) || l.snaps != nil || !l.health.Zero() || l.events != 0 || l.Ticks() != 0 {
 		t.Fatalf("released logger not reset: %s", l)
 	}
 	defer func() {

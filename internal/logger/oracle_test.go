@@ -19,6 +19,7 @@ package logger_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"heapmd/internal/detect"
@@ -505,77 +506,121 @@ func (l *refLogger) report(program, input string, version int) *logger.Report {
 
 // genCfg sizes a generated stream. bigOdds is the 1-in-N chance that
 // an allocation lands in the large-object region; bigPagesMax bounds
-// its page count. Field-granularity runs use small values for both:
-// every word of a large object is a vertex there, and the reference
-// implementation rescans all of them at every sample.
+// its page count. hugeOdds is the 1-in-N chance (0: never) of an
+// object wider than the address table's per-line span limit, which
+// the table keeps on its huge list. Field-granularity runs use small
+// values and no huge objects: every word of a large object is a
+// vertex there, and the reference implementation rescans all of them
+// at every sample.
 type genCfg struct {
 	nOps        int
 	bigOdds     int
 	bigPagesMax int
+	hugeOdds    int
+}
+
+// Address regions of generated streams. Each holds one kind of
+// object, so objects never overlap.
+const (
+	cellPitch = 1024 // small-object region: one object per KiB cell
+	smallBase = 0x100_0000_0000
+	bigPitch  = 1 << 20 // large-object region: page-spanning objects
+	bigBase   = 0x200_0000_0000
+	wildBase  = 0x300_0000_0000 // never allocated
+	oddBase   = 0x400_0000_0000 // small objects at unaligned bases
+	hugePitch = 1 << 25         // huge-object region: 9–16 MiB objects
+	hugeBase  = 0x500_0000_0000
+)
+
+type region int
+
+const (
+	smallRegion region = iota
+	bigRegion
+	oddRegion
+	hugeRegion
+	numRegions
+)
+
+func regionOf(b uint64) region {
+	switch {
+	case b >= hugeBase:
+		return hugeRegion
+	case b >= oddBase:
+		return oddRegion
+	case b >= bigBase:
+		return bigRegion
+	}
+	return smallRegion
 }
 
 // genEvents produces a deterministic mixed workload: allocation and
 // free churn with address recycling, reallocs (moving, resizing and
 // invalid), pointer stores (interior targets, overwrites, self-loops,
 // misses), wild operations of every flavour, unknown event types and
-// enough function entries to sample steadily. All sizes and store
-// offsets are word multiples, matching what real instrumentation of a
-// word-aligned allocator emits.
+// enough function entries to sample steadily. Objects at unaligned
+// bases and huge objects are allocated, freed and double freed like
+// the rest. All sizes and store offsets are word multiples, matching
+// what real instrumentation of a word-aligned allocator emits.
 func genEvents(seed int64, cfg genCfg) []event.Event {
 	nOps := cfg.nOps
 	rng := rand.New(rand.NewSource(seed))
-	const (
-		cellPitch = 1024 // small-object region: one object per KiB cell
-		smallBase = 0x100_0000_0000
-		bigPitch  = 1 << 20 // large-object region: page-spanning objects
-		bigBase   = 0x200_0000_0000
-		wildBase  = 0x300_0000_0000 // never allocated
-	)
 	var evs []event.Event
 	var live []uint64 // bases
 	size := make(map[uint64]uint64)
-	nextSmall, nextBig := uint64(0), uint64(0)
-	var freeSmall, freeBig []uint64 // recyclable cells
+	var next [numRegions]uint64
+	var retired [numRegions][]uint64 // recyclable cells
 
-	alignedSize := func(big bool) uint64 {
-		if big {
+	pickRegion := func() region {
+		switch {
+		case cfg.hugeOdds > 0 && rng.Intn(cfg.hugeOdds) == 0:
+			return hugeRegion
+		case rng.Intn(cfg.bigOdds) == 0:
+			return bigRegion
+		case rng.Intn(8) == 0:
+			return oddRegion
+		}
+		return smallRegion
+	}
+	alignedSize := func(r region) uint64 {
+		switch r {
+		case bigRegion:
 			return uint64(rng.Intn(cfg.bigPagesMax)+1) * 4096 // page-spanning
+		case hugeRegion:
+			return uint64(rng.Intn(8)+9) << 20
 		}
 		return uint64(rng.Intn(64)+1) * 8 // 8..512 bytes
 	}
-	newBase := func(big bool) uint64 {
-		if big {
-			if len(freeBig) > 0 && rng.Intn(2) == 0 {
-				b := freeBig[len(freeBig)-1]
-				freeBig = freeBig[:len(freeBig)-1]
-				return b
-			}
-			nextBig++
-			return bigBase + (nextBig-1)*bigPitch
-		}
-		if len(freeSmall) > 0 && rng.Intn(2) == 0 {
-			b := freeSmall[len(freeSmall)-1]
-			freeSmall = freeSmall[:len(freeSmall)-1]
+	newBase := func(r region) uint64 {
+		if free := retired[r]; len(free) > 0 && rng.Intn(2) == 0 {
+			b := free[len(free)-1]
+			retired[r] = free[:len(free)-1]
 			return b
 		}
-		nextSmall++
-		return smallBase + (nextSmall-1)*cellPitch
+		next[r]++
+		n := next[r] - 1
+		switch r {
+		case bigRegion:
+			return bigBase + n*bigPitch
+		case oddRegion:
+			return oddBase + n*cellPitch + 1 + n%7 // never 8-byte aligned
+		case hugeRegion:
+			return hugeBase + n*hugePitch
+		}
+		return smallBase + n*cellPitch
 	}
 	recycle := func(b uint64) {
-		if b >= bigBase {
-			freeBig = append(freeBig, b)
-		} else {
-			freeSmall = append(freeSmall, b)
-		}
+		r := regionOf(b)
+		retired[r] = append(retired[r], b)
 	}
 	pickLive := func() int { return rng.Intn(len(live)) }
 
 	for op := 0; op < nOps; op++ {
 		switch r := rng.Intn(100); {
 		case r < 22: // alloc
-			big := rng.Intn(cfg.bigOdds) == 0
-			b := newBase(big)
-			s := alignedSize(big)
+			reg := pickRegion()
+			b := newBase(reg)
+			s := alignedSize(reg)
 			evs = append(evs, event.Event{Type: event.Alloc, Addr: b, Size: s, Fn: 1})
 			live = append(live, b)
 			size[b] = s
@@ -589,9 +634,9 @@ func genEvents(seed int64, cfg genCfg) []event.Event {
 				evs = append(evs, event.Event{Type: event.Free, Addr: b, Size: size[b]})
 				delete(size, b)
 				recycle(b)
-			case rng.Intn(2) == 0: // double free of a retired cell
-				if len(freeSmall) > 0 {
-					evs = append(evs, event.Event{Type: event.Free, Addr: freeSmall[rng.Intn(len(freeSmall))]})
+			case rng.Intn(2) == 0: // double free of a retired cell, in any region
+				if cells := retired[rng.Intn(int(numRegions))]; len(cells) > 0 {
+					evs = append(evs, event.Event{Type: event.Free, Addr: cells[rng.Intn(len(cells))]})
 				}
 			default: // wild free
 				evs = append(evs, event.Event{Type: event.Free, Addr: wildBase + uint64(rng.Intn(1<<20))*8})
@@ -604,11 +649,11 @@ func genEvents(seed int64, cfg genCfg) []event.Event {
 			}
 			i := pickLive()
 			oldB := live[i]
-			big := oldB >= bigBase
-			newS := alignedSize(big)
+			reg := regionOf(oldB)
+			newS := alignedSize(reg)
 			newB := oldB
 			if rng.Intn(2) == 0 { // move
-				newB = newBase(big)
+				newB = newBase(reg)
 			}
 			evs = append(evs, event.Event{Type: event.Realloc, Addr: oldB, Value: newB, Size: newS})
 			if newB != oldB {
@@ -709,12 +754,53 @@ func diffReports(t *testing.T, got, want *logger.Report) {
 // the reference report bit for bit at object granularity.
 func TestOracleObjectGranularity(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		stream := genEvents(seed, genCfg{nOps: 30000, bigOdds: 10, bigPagesMax: 20})
+		stream := genEvents(seed, genCfg{nOps: 30000, bigOdds: 10, bigPagesMax: 20, hugeOdds: 200})
 		got, want := replayBoth(stream, logger.ObjectGranularity)
 		diffReports(t, got, want)
 		h := got.Health
 		if h.WildStores+h.DoubleFrees+h.WildFrees+h.BadReallocs+h.UnknownEvents == 0 {
 			t.Fatalf("seed %d: generator produced no anomalous events; oracle lost coverage", seed)
+		}
+		checkRegionCoverage(t, stream, true)
+	}
+}
+
+// checkRegionCoverage fails unless the stream frees and double frees
+// objects at unaligned bases and, if huge is set, huge objects: the
+// cases the address table's freed bitmap handles off its common path.
+func checkRegionCoverage(t *testing.T, evs []event.Event, huge bool) {
+	t.Helper()
+	var frees [numRegions]int
+	var doubles [numRegions]int
+	live := make(map[uint64]bool)
+	freed := make(map[uint64]bool)
+	for _, e := range evs {
+		switch e.Type {
+		case event.Alloc:
+			live[e.Addr], freed[e.Addr] = true, false
+		case event.Free:
+			r := regionOf(e.Addr)
+			switch {
+			case live[e.Addr]:
+				frees[r]++
+				live[e.Addr], freed[e.Addr] = false, true
+			case freed[e.Addr]:
+				doubles[r]++
+			}
+		case event.Realloc:
+			if live[e.Addr] {
+				live[e.Addr], freed[e.Addr] = false, true
+				live[e.Value], freed[e.Value] = true, false
+			}
+		}
+	}
+	regions := []region{oddRegion}
+	if huge {
+		regions = append(regions, hugeRegion)
+	}
+	for _, r := range regions {
+		if frees[r] == 0 || doubles[r] == 0 {
+			t.Fatalf("region %d: %d frees, %d double frees; oracle lost coverage", r, frees[r], doubles[r])
 		}
 	}
 }
@@ -725,7 +811,65 @@ func TestOracleFieldGranularity(t *testing.T) {
 		stream := genEvents(seed, genCfg{nOps: 5000, bigOdds: 60, bigPagesMax: 1})
 		got, want := replayBoth(stream, logger.FieldGranularity)
 		diffReports(t, got, want)
+		checkRegionCoverage(t, stream, false)
 	}
+}
+
+// TestOracleAcrossRelease replays a second stream on the logger that
+// the pool hands back (New right after Release almost always returns
+// the same one) after the first stream's Release, against a fresh
+// reference. The second stream opens by freeing, then
+// re-allocating, freeing and double freeing bases the first stream
+// left freed (aligned, unaligned and huge): a freed mark that survived
+// Release would turn the opening free into a double free instead of a
+// wild one.
+func TestOracleAcrossRelease(t *testing.T) {
+	const freq = 4
+	suite := metrics.ExtendedSuite()
+	// Few, small large objects: the first stream must touch fewer
+	// address-table chunks than Release retains, or the table drops its
+	// chunks (and their freed bitmaps) wholesale.
+	cfg := genCfg{nOps: 20000, bigOdds: 200, bigPagesMax: 4, hugeOdds: 200}
+	first := logger.New(logger.Options{Suite: suite, Frequency: freq})
+	ref := newRefLogger(suite, freq, false)
+	for _, e := range genEvents(30, cfg) {
+		first.Emit(e)
+		ref.Emit(e)
+	}
+	diffReports(t, first.Report(), ref.report("", "", 0))
+	freed := make([]uint64, 0, len(ref.freed))
+	for b := range ref.freed {
+		freed = append(freed, b)
+	}
+	slices.Sort(freed)
+	var prefix []event.Event
+	var seen [numRegions]int
+	for _, b := range freed {
+		if r := regionOf(b); seen[r] < 8 {
+			seen[r]++
+			prefix = append(prefix,
+				event.Event{Type: event.Free, Addr: b},
+				event.Event{Type: event.Alloc, Addr: b, Size: 64, Fn: 1},
+				event.Event{Type: event.Free, Addr: b},
+				event.Event{Type: event.Free, Addr: b})
+		}
+	}
+	if seen[smallRegion] == 0 || seen[oddRegion] == 0 || seen[hugeRegion] == 0 {
+		t.Fatalf("first stream left freed bases in regions %v; want small, odd and huge", seen)
+	}
+	second := append(prefix, genEvents(31, cfg)...)
+
+	first.Release()
+	l := logger.New(logger.Options{Suite: suite, Frequency: freq})
+	if l != first {
+		t.Log("the pool handed out another logger; the Release path went unexercised")
+	}
+	ref = newRefLogger(suite, freq, false)
+	for _, e := range second {
+		l.Emit(e)
+		ref.Emit(e)
+	}
+	diffReports(t, l.Report(), ref.report("", "", 0))
 }
 
 // TestOracleWorkloadStream replays an event stream recorded from a

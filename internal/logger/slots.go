@@ -33,8 +33,10 @@ type slotTable struct {
 	spill  map[uint64]heapgraph.VertexID
 }
 
-// inlineSlots is the inline capacity of a slotTable; chosen to match
-// the heap-graph's inline adjacency degree.
+// inlineSlots is the inline capacity of a slotTable: four (offset,
+// target) pairs. It is independent of the heap-graph's inline
+// adjacency capacity, which is inlineNeighbors = maxTracked = 8
+// distinct neighbours per direction.
 const inlineSlots = 4
 
 // maxWordBytes bounds the words tier: an object larger than this uses
